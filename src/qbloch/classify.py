@@ -11,12 +11,13 @@ proof) on the observed shape of the S_h rows.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, UsageError
-from .fseries import F_direct
+from .fseries import F_backsolve
 from .pentagonal import p1
-from .series import TruncSeries, pochhammer
+from .series import TruncSeries, _mul_one_minus, pochhammer
 
 
 @dataclass(frozen=True)
@@ -101,35 +102,38 @@ def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     """Classify F_k by its max absolute coefficient over [0, shat_bound(k)]."""
     bound = shat_bound(k)
     _poch_budget_gate(bound, budget, f"eden_class({k})")
-    h, witness = F_direct(k, None, bound).max_abs()
+    h, witness = F_backsolve(k, bound).max_abs()
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
 
 def _scan_poch_range(lo: int, hi: int):
     """Worker: (m, h, witness) for each m in [lo, hi], carrying (q;q)_m
-    across the range with one binomial multiply per step."""
+    across the range with one in-place binomial multiply per step."""
     coeffs = [1]
-    for j in range(1, lo + 1):
-        coeffs = coeffs + [0] * j
-        for i in range(len(coeffs) - 1, j - 1, -1):
-            coeffs[i] -= coeffs[i - j]
     out = []
-    for m in range(lo, hi + 1):
-        if m > lo:
-            coeffs = coeffs + [0] * m
-            for i in range(len(coeffs) - 1, m - 1, -1):
-                coeffs[i] -= coeffs[i - m]
-        best, witness = 0, 0
-        for e, c in enumerate(coeffs):
-            if c and abs(c) > best:
-                best, witness = abs(c), e
-        out.append((m, best if best else 1, witness))
+    for m in range(hi + 1):
+        if m:
+            coeffs.extend([0] * m)
+            _mul_one_minus(coeffs, m)
+        if m >= lo:
+            out.append((m, *_height(coeffs)))
     return out
+
+
+def _height(coeffs: list):
+    """(max |c|, smallest exponent attaining it) of an (anti)palindromic
+    polynomial, read from its first half without building new coefficients.
+    The half-copy must not outlive the call: it would keep the old
+    coefficients alive through the next in-place multiply."""
+    first_half = coeffs[:(len(coeffs) + 1) // 2]
+    high, low = max(first_half), min(first_half)
+    best = max(high, -low)
+    return best, min(first_half.index(v) for v in (high, low) if abs(v) == best)
 
 
 def _scan_eden_one(k: int):
     bound = shat_bound(k)
-    h, witness = F_direct(k, None, bound).max_abs()
+    h, witness = F_backsolve(k, bound).max_abs()
     return (k, h, witness, bound)
 
 
@@ -153,14 +157,22 @@ def _range_chunks(last: int, workers: int):
     return chunks
 
 
-def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
-    """All rows S_1 .. S_H, each with its cut-off, by sweeping m up to
-    s_cutoff(H).  Workers split the sweep into contiguous m-ranges and the
-    merge is by subject index, so the result is worker-count independent."""
-    if H < 1:
-        raise UsageError(f"H must be >= 1, got {H}")
+def _pool_size(workers: int) -> int:
+    """Validated worker count, capped at the CPU count: more processes than
+    cores only add startup cost, and a huge count must not fork that many."""
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
+    """All rows S_1 .. S_H, each with its cut-off, by sweeping m up to
+    s_cutoff(H).  Workers (at most one per CPU) split the sweep into
+    contiguous m-ranges and the merge is by subject index, so the result is
+    worker-count independent."""
+    if H < 1:
+        raise UsageError(f"H must be >= 1, got {H}")
+    workers = _pool_size(workers)
     horizon = s_cutoff(H)
     _poch_budget_gate(horizon * (horizon + 1) // 2, budget, f"build_s_table({H})")
     if workers == 1:
@@ -188,8 +200,7 @@ def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) 
     slot, no per-row window bound exists for F_k."""
     if K < 1:
         raise UsageError(f"K must be >= 1, got {K}")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+    workers = _pool_size(workers)
     _poch_budget_gate(shat_bound(K), budget, f"build_shat_table({K})")
     if workers == 1:
         results = [_scan_eden_one(k) for k in range(1, K + 1)]

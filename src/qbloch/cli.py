@@ -3,21 +3,24 @@
 Output is deterministic and machine-readable.  TSV starts with a header line
 "# <command> <args> <version>"; JSON is one object {"meta": ..., "data": ...}.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 resource budget exceeded.
+3 resource budget exceeded, 4 the --out file could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
+import shutil
 import sys
 
 from . import __version__
 from .classify import (Budget, build_s_table, build_shat_table,
                        conjecture_scan, shat_bound, window_check)
 from .closed_form import a_coeff, b_coeff
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, OutputError, UsageError
 from .fseries import (F_backsolve, F_direct, NoCorrectionError, correction,
                       eden_series, f1_base_identity_check,
                       one_mod_k_identity_check, recurrence_check, tail_split)
@@ -104,6 +107,9 @@ def _emit(args, header_args, data, rows, out_stream) -> None:
 
 def _resolve_order(args, tail_params) -> int:
     if tail_params:
+        if args.order is not None and args.order != tail_params[0]:
+            raise UsageError(f"conflicting orders: {tail_params[0]} positionally "
+                             f"and {args.order} via --order")
         return tail_params[0]
     if args.order is not None:
         return args.order
@@ -137,7 +143,7 @@ def _cmd_expand(args, budget, out_stream) -> int:
             raise UsageError(f"poch index must be >= 0, got {idx}")
         series = pochhammer(1, 1, idx, order)
     else:
-        series = F_direct(idx, None, order)
+        series = F_backsolve(idx, order)
 
     header = [args.target] + ([idx] if idx is not None else []) + [order]
     pairs = series.nonzero_items()
@@ -324,6 +330,63 @@ def _finish(args, header_args, data, rows, out_stream) -> int:
     return 0
 
 
+class _OutFile:
+    """The --out file as a handler sees it: an OSError from write() becomes
+    OutputError, so one raised by the computation itself still passes
+    through unchanged."""
+
+    def __init__(self, fh, path):
+        self._fh = fh
+        self._path = path
+
+    def write(self, text):
+        try:
+            return self._fh.write(text)
+        except OSError as exc:
+            raise _output_error(self._path, exc) from exc
+
+
+def _output_error(path, exc) -> OutputError:
+    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_out(path, write) -> int:
+    """Run write(fh) against the --out target.
+
+    A regular file (or a path not there yet) is written as a fresh file
+    beside the symlink-resolved target, given the old file's mode and moved
+    onto it only when write returns, so an error leaves neither a partial
+    file nor the temporary one.  A pipe or device such as /dev/stdout cannot
+    be replaced and is written in place.  Only errors of the file itself
+    (open, write, close, mode, replace) become OutputError.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:
+        raise _output_error(path, exc) from exc
+    try:
+        code = write(_OutFile(fh, path))
+        try:
+            fh.close()
+            if not in_place:
+                if os.path.isfile(target):
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
+        except OSError as exc:
+            raise _output_error(path, exc) from exc
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -333,8 +396,7 @@ def main(argv=None) -> int:
         handler = {"expand": _cmd_expand, "coeff": _cmd_coeff,
                    "table": _cmd_table, "verify": _cmd_verify}[args.command]
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                return handler(args, budget, fh)
+            return _write_out(args.out, lambda fh: handler(args, budget, fh))
         return handler(args, budget, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -342,6 +404,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

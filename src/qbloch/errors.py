@@ -1,4 +1,4 @@
-"""Shared error types, mapped to CLI exit codes 2 and 3."""
+"""Shared error types, mapped to CLI exit codes 2, 3 and 4."""
 
 
 class UsageError(ValueError):
@@ -7,3 +7,7 @@ class UsageError(ValueError):
 
 class BudgetError(RuntimeError):
     """A configured resource budget would be exceeded (CLI exit code 3)."""
+
+
+class OutputError(RuntimeError):
+    """The --out file could not be written (CLI exit code 4)."""

@@ -10,10 +10,12 @@ is possible (k = 1, 2, 3, 4, 6 and no other k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import UsageError
 from .pentagonal import p1, p2, pnt_series
-from .series import TruncSeries, _mul_binomial, pochhammer, qq_poly
+from .series import (TruncSeries, _mul_binomial, _mul_one_minus, pochhammer,
+                     qq_poly)
 
 
 class NoCorrectionError(Exception):
@@ -37,13 +39,21 @@ _CORRECTIONS = {
 def F_direct(k: int, M, N: int) -> TruncSeries:
     """F_{k,M}(q) modulo q^(N+1); M=None takes the limit (j stops at N//k).
 
-    (q;q)_j is carried incrementally across j, one binomial multiply per
-    step, so the total work is O(N^2 / k).
+    The reference expansion of the defining sum, O(N^2 / k) work.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if M is not None and M < 0:
         raise UsageError(f"M must be >= 0, got {M}")
+    return TruncSeries(_partial_sums(k, M, N), N)
+
+
+def _partial_sums(k: int, M, N: int) -> list:
+    """Coefficients of sum_{j <= M, kj <= N} q^(kj) (q;q)_j up to q^N.
+
+    (q;q)_j is carried incrementally across j, one binomial multiply per
+    step, so the work is about 2N per term and N//k + 1 terms.
+    """
     out = [0] * (N + 1)
     prod = [1] + [0] * N
     j = 0
@@ -54,7 +64,7 @@ def F_direct(k: int, M, N: int) -> TruncSeries:
         for t in range(base, N + 1):
             out[t] += prod[t - base]
         j += 1
-    return TruncSeries(out, N)
+    return out
 
 
 def recurrence_check(k: int, M: int, N=None) -> bool:
@@ -110,27 +120,54 @@ def f1_base_identity_check(M: int) -> bool:
 
 
 def F_backsolve(k: int, N: int) -> TruncSeries:
-    """F_k(q) modulo q^(N+1) computed through the backsolved representation
+    """F_k(q) modulo q^(N+1) by the cheaper of two exact routes.
 
-        q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
-                           + (-1)^k (q;q)_{k-1} (q;q)_infinity
-
-    and divided by the q^(k(k+1)/2) prefactor.  Must agree with F_direct.
+    While k(k+1)/2 is small against N this is the backsolved representation
+    (_backsolved), O(k(N + k^2)) work.  For larger k the defining sum has
+    only N//k + 1 terms and costs less; it is taken then, so the work never
+    exceeds O(N^1.5) whatever k is.  Must agree with F_direct.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     shift = k * (k + 1) // 2
-    NN = N + shift
-    rhs = TruncSeries.zero(NN)
+    # coefficient updates per route: k passes over N + shift coefficients
+    # plus the finite terms, against N//k + 1 terms of about N each, which
+    # were measured to cost about 3:2 per update
+    if 3 * (N // k + 1) * (N + 1) < 2 * k * (N + 2 * shift):
+        return TruncSeries(_partial_sums(k, None, N), N)
+    return _backsolved(k, N)
+
+
+def _backsolved(k: int, N: int) -> TruncSeries:
+    """F_k(q) modulo q^(N+1) through the backsolved representation
+
+        q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
+                           + (-1)^k (q;q)_{k-1} (q;q)_infinity
+
+    divided by the q^(k(k+1)/2) prefactor.  The tail is the pentagonal
+    expansion times k-1 binomials, O(k(N + k^2)) work.  Every finite term
+    has degree k(k-1)/2, below the prefactor, so the terms only have to
+    cancel the tail there; a leftover is an error.  They are built one from
+    the next, (q^(k-i);q)_i = (1 - q^(k-i)) (q^(k-i+1);q)_(i-1), O(k^3).
+    """
+    shift = k * (k + 1) // 2
+    tail = pnt_series(N + shift).coeffs
+    for d in range(1, k):
+        _mul_one_minus(tail, d)
+    sign = 1 if k % 2 == 0 else -1
+    low = [sign * c for c in tail[:shift]]
+    term = [1]
     for i in range(k):
-        term = pochhammer(k - i, 1, i, NN).shift((k - 1 - i) * (k - i) // 2)
-        rhs = rhs + term if i % 2 == 0 else rhs - term
-    tail = pnt_series(NN) * pochhammer(1, 1, k - 1, NN)
-    rhs = rhs + tail if k % 2 == 0 else rhs - tail
-    if any(rhs.coeffs[:shift]):
+        if i > 0:
+            term.extend([0] * (k - i))
+            _mul_one_minus(term, k - i)
+        lo = (k - 1 - i) * (k - i) // 2
+        hi = lo + len(term)
+        low[lo:hi] = map(add if i % 2 == 0 else sub, low[lo:hi], term)
+    if any(low):
         raise RuntimeError(
             f"backsolve for k={k} left nonzero coefficients below q^{shift}")
-    return TruncSeries(rhs.coeffs[shift:], N)
+    return TruncSeries(tail[shift:] if sign == 1 else [-c for c in tail[shift:]], N)
 
 
 @dataclass(frozen=True)
@@ -238,5 +275,5 @@ def eden_series(k: int, N: int) -> TruncSeries:
     counts with repeated largest part reproduce."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    shifted = F_direct(k, None, N).shift(k)
+    shifted = F_backsolve(k, N).shift(k)
     return shifted if k % 2 == 0 else -shifted

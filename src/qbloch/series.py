@@ -9,6 +9,9 @@ of decimal digits are fine.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
+
 from .errors import UsageError
 
 
@@ -21,12 +24,28 @@ def _mul_binomial(coeffs: list, d: int, c: int) -> list:
     return coeffs[:d] + [a + c * b for a, b in zip(coeffs[d:], coeffs)]
 
 
-def _div_binomial(coeffs: list, d: int) -> list:
-    """Return coeffs / (1 - q^d) via running prefix sums with stride d."""
-    out = list(coeffs)
-    for i in range(d, len(out)):
-        out[i] += out[i - d]
-    return out
+#: Coefficients rewritten per slice assignment in _mul_one_minus.
+_BLOCK = 4096
+
+
+def _mul_one_minus(coeffs: list, d: int) -> None:
+    """In place: coeffs *= (1 - q^d), truncated to the same length.
+
+    Blocks are rewritten from the top down and each is read in full before
+    it is written, so every subtrahend is still an old coefficient.  The
+    block size bounds how many new coefficients exist beside the old ones.
+    """
+    hi = len(coeffs)
+    while hi > d:
+        lo = max(d, hi - _BLOCK)
+        coeffs[lo:hi] = map(sub, coeffs[lo:hi], coeffs[lo - d:hi - d])
+        hi = lo
+
+
+def _div_one_minus(coeffs: list, d: int) -> None:
+    """In place: coeffs /= (1 - q^d), one running sum per residue class mod d."""
+    for r in range(min(d, len(coeffs))):
+        coeffs[r::d] = accumulate(coeffs[r::d])
 
 
 class TruncSeries:
@@ -60,14 +79,6 @@ class TruncSeries:
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls([1], order)
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int, order: int) -> "TruncSeries":
-        """c*q^e as a series of the given order; exponents beyond it truncate to 0."""
-        s = cls([0], order)
-        if 0 <= exponent <= order:
-            s.coeffs[exponent] = coefficient
-        return s
 
     def _check_same_order(self, other: "TruncSeries") -> None:
         if self.order != other.order:
@@ -122,7 +133,9 @@ class TruncSeries:
         """Divide by (1 - q^d); always well defined on truncated series."""
         if d < 1:
             raise UsageError(f"binomial exponent must be >= 1, got {d}")
-        return TruncSeries(_div_binomial(self.coeffs, d), self.order)
+        out = list(self.coeffs)
+        _div_one_minus(out, d)
+        return TruncSeries(out, self.order)
 
     def shift(self, e: int) -> "TruncSeries":
         """Multiply by q^e (e >= 0), truncating at the order."""
@@ -191,6 +204,13 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
     1 modulo q^(N+1) and are skipped.  pochhammer(1, 1, m, N) is the finite
     q-factorial with m factors; pochhammer(k, 1, None, N) is the infinite
     product starting at q^k.
+
+    (q^s;q)_inf is built as (q;q)_inf / (q;q)_(s-1): the pentagonal
+    expansion followed by s-1 stride divisions, O(sN) work, unless
+    multiplying in the factors q^s..q^N directly costs less.  Every other
+    product carries its partial product only to its exact degree.  A
+    finite product of full degree D read past D//2 is computed to D//2 and
+    the rest is filled from its symmetry c_(D-t) = (-1)^L c_t.
     """
     if start < 1:
         raise UsageError(f"start must be >= 1, got {start}")
@@ -198,13 +218,54 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
         raise UsageError(f"step must be >= 1, got {step}")
     if L is not None and L < 0:
         raise UsageError(f"length must be >= 0, got {L}")
-    coeffs = [1] + [0] * N
-    i = 0
+    if N < 0:
+        raise UsageError(f"order must be non-negative, got {N}")
+    if L is None:
+        if step == 1:
+            divisions = min(start - 1, N)
+            direct = max(0, N - start + 1)
+            if divisions * (N + 1) <= direct * (direct + 1) // 2:
+                return _divided_infinite(start, N)
+        # the finite product of the factors up to q^N agrees with the
+        # infinite one below q^(N+1)
+        L = 0 if start > N else (N - start) // step + 1
+    full = L * start + step * L * (L - 1) // 2
+    half = full // 2
+    if N <= half:
+        return TruncSeries(_grow_product(start, step, L, N), N)
+    coeffs = _grow_product(start, step, L, half)
+    top = min(N, full)
+    mirrored = coeffs[full - top:full - half][::-1]
+    coeffs += mirrored if L % 2 == 0 else [-c for c in mirrored]
+    return TruncSeries(coeffs, N)
+
+
+def _grow_product(start: int, step: int, L: int, T: int) -> list:
+    """Coefficients 0..T of the product of (1 - q^(start + step*i)), i < L.
+
+    The carried list only ever reaches min(T, degree so far); factors past
+    q^T cannot reach the kept coefficients.
+    """
+    coeffs = [1]
+    degree = 0
     d = start
-    while (L is None or i < L) and d <= N:
-        coeffs = _mul_binomial(coeffs, d, -1)
-        i += 1
+    for _ in range(L):
+        if d > T:
+            break
+        degree += d
+        coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
+        _mul_one_minus(coeffs, d)
         d += step
+    coeffs.extend([0] * (T + 1 - len(coeffs)))
+    return coeffs
+
+
+def _divided_infinite(start: int, N: int) -> TruncSeries:
+    """(q^start;q)_inf modulo q^(N+1) as (q;q)_inf / (q;q)_(start-1)."""
+    from .pentagonal import pnt_series  # pentagonal imports this module
+    coeffs = pnt_series(N).coeffs
+    for d in range(1, min(start, N + 1)):
+        _div_one_minus(coeffs, d)
     return TruncSeries(coeffs, N)
 
 

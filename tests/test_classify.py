@@ -1,5 +1,8 @@
 """Classification tables, cut-offs, coefficient windows, conjecture scan."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from qbloch.classify import (Budget, ClassRecord, build_s_table,
@@ -164,3 +167,48 @@ def test_worker_argument_validation():
         build_s_table(2, workers=0)
     with pytest.raises(UsageError):
         build_shat_table(3, workers=-1)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs every
+    submitted call in this process, so no test forks."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    base_s, base_shat = build_s_table(3), build_shat_table(6)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    RecordingPool.sizes = []
+    assert build_s_table(3, workers=10 ** 6) == base_s
+    assert build_shat_table(6, workers=10 ** 6) == base_shat
+    assert RecordingPool.sizes == [3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_s_table(3, workers=10 ** 6) == base_s
+    assert build_shat_table(6, workers=10 ** 6) == base_shat
+    assert RecordingPool.sizes == [3, 3]  # one CPU: no pool at all
+
+
+def test_s_sweep_heights_and_witnesses_match_poch_class():
+    # the sweep reads each (q;q)_m's first half only; poch_class scans the
+    # whole polynomial, built independently by pochhammer
+    from qbloch.classify import _scan_poch_range
+    for lo, hi in ((0, 45), (30, 60)):
+        for m, h, witness in _scan_poch_range(lo, hi):
+            record = poch_class(m)
+            assert (h, witness) == (record.h, record.witness), m

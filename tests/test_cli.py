@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface via subprocess."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -133,3 +134,122 @@ def test_console_script_installed():
     via_module = run_cli("expand", "pnt", "12")
     assert proc.returncode == 0
     assert proc.stdout == via_module.stdout
+
+
+def product_reference(exponents, N):
+    # independent reference: one full-length pass per factor (1 - q^d)
+    coeffs = [1] + [0] * N
+    for d in exponents:
+        for t in range(N, d - 1, -1):
+            coeffs[t] -= coeffs[t - d]
+    return coeffs
+
+
+@pytest.mark.parametrize("target,idx", [("q2inf", None), ("q3inf", None),
+                                        ("poch", 60), ("f", 1), ("f", 7)])
+def test_expand_matches_reference_rows(target, idx):
+    N = 1500
+    if target == "f":
+        coeffs = F_direct(idx, None, N).coeffs
+    else:
+        first, count = {"q2inf": (2, N), "q3inf": (3, N), "poch": (1, idx)}[target]
+        coeffs = product_reference(range(first, min(first + count, N + 1)), N)
+    pairs = [(e, c) for e, c in enumerate(coeffs) if c]
+    args = [target] + ([str(idx)] if idx is not None else []) + [str(N)]
+
+    tsv = run_cli("expand", *args)
+    assert tsv.returncode == 0
+    assert tsv.stdout == "".join([f"# expand {' '.join(args)} {__version__}\n"]
+                                 + [f"{e}\t{c}\n" for e, c in pairs])
+
+    js = run_cli("expand", *args, "--format", "json")
+    assert js.returncode == 0
+    assert js.stdout == json.dumps(
+        {"meta": {"command": "expand", "args": args, "version": __version__},
+         "data": {"order": N, "coefficients": [[e, c] for e, c in pairs]}}) + "\n"
+
+
+def test_conflicting_orders_are_a_usage_error():
+    proc = run_cli("expand", "f", "3", "5", "--order", "10")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: conflicting orders")
+    assert len(proc.stderr.splitlines()) == 1
+    agree = run_cli("expand", "f", "3", "5", "--order", "5")
+    assert agree.returncode == 0
+    assert agree.stdout == run_cli("expand", "f", "3", "5").stdout
+
+
+def test_unwritable_out_is_a_one_line_error(tmp_path):
+    target = tmp_path / "missing" / "x.tsv"
+    proc = run_cli("expand", "pnt", "10", "--out", str(target))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("output error: cannot write")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "missing").exists()
+    onto_dir = run_cli("expand", "pnt", "10", "--out", str(tmp_path))
+    assert onto_dir.returncode == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_no_partial_out_file(tmp_path):
+    target = tmp_path / "dump.tsv"
+    target.write_text("previous contents\n")
+    for argv, code in ((("expand", "pnt", "999999999"), 3),
+                       (("expand", "f", "3", "5", "--order", "10"), 2)):
+        proc = run_cli(*argv, "--out", str(target))
+        assert proc.returncode == code
+        assert target.read_text() == "previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]
+    ok = run_cli("expand", "pnt", "12", "--out", str(target))
+    assert ok.returncode == 0
+    assert target.read_text() == run_cli("expand", "pnt", "12").stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["dump.tsv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_to_a_pipe_writes_in_place():
+    proc = run_cli("expand", "pnt", "12", "--out", "/dev/stdout")
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("expand", "pnt", "12").stdout
+
+
+def test_expand_f_with_large_k_is_quick():
+    # k(k+1)/2 far above the order: the defining sum has one term
+    for k, order in ((2000, 100), (100_000, 10)):
+        proc = run_cli("expand", "f", str(k), str(order), timeout=60)
+        assert proc.returncode == 0
+        rows = [tuple(int(x) for x in line.split("\t"))
+                for line in tsv_lines(proc)[1:]]
+        assert rows == F_direct(k, None, order).nonzero_items() == [(0, 1)]
+
+
+def test_oserror_from_the_command_is_not_an_output_error(tmp_path, monkeypatch):
+    # only errors of the --out file itself map to exit 4
+    from qbloch import cli
+
+    def broken(args, budget, out_stream):
+        out_stream.write("partial\n")
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(cli, "_cmd_expand", broken)
+    target = tmp_path / "x.tsv"
+    with pytest.raises(OSError):
+        cli.main(["expand", "pnt", "5", "--out", str(target)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
+    target = tmp_path / "data.tsv"
+    target.write_text("old\n")
+    os.chmod(target, 0o640)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    proc = run_cli("expand", "pnt", "12", "--out", str(link))
+    assert proc.returncode == 0
+    assert link.is_symlink()
+    assert target.read_text() == run_cli("expand", "pnt", "12").stdout
+    assert os.stat(target).st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsv", "link.tsv"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qbloch import fseries
 from qbloch.errors import UsageError
 from qbloch.fseries import (CorrectionPoly, NoCorrectionError, F_backsolve,
                             F_direct, correction, eden_series,
@@ -177,3 +178,35 @@ def test_argument_validation():
     with pytest.raises(UsageError):
         eden_series(0, 10)
     assert isinstance(correction(3), CorrectionPoly)
+
+
+def test_backsolve_matches_direct_around_the_prefactor():
+    # orders below, at and above the q^(k(k+1)/2) prefactor the backsolved
+    # form divides out
+    for k in range(1, 13):
+        shift = k * (k + 1) // 2
+        for N in (0, 1, shift - 1, shift, shift + 1, 2 * shift + 7, 400):
+            if N < 0:
+                continue
+            reference = F_direct(k, None, N)
+            assert fseries._backsolved(k, N) == reference, (k, N)
+            assert F_backsolve(k, N) == reference, (k, N)
+    with pytest.raises(UsageError):
+        F_backsolve(0, 10)
+
+
+def test_backsolve_takes_the_direct_sum_for_large_k(monkeypatch):
+    # past k ~ sqrt(N) the defining sum has few terms; the backsolved form
+    # would build pnt_series(N + k(k+1)/2) and is never entered
+    cases = [(100_000, 10), (2000, 100), (150, 4000)]
+    expected = [F_direct(k, None, N) for k, N in cases]
+    # F_direct runs the same loop, so check that route against the
+    # independent backsolved form where building it is affordable
+    assert fseries._backsolved(150, 4000) == expected[2]
+
+    def refuse(k, N):
+        raise AssertionError(f"backsolved route taken for k={k}, N={N}")
+
+    monkeypatch.setattr(fseries, "_backsolved", refuse)
+    assert [F_backsolve(k, N) for k, N in cases] == expected
+    assert F_backsolve(100_000, 10).coeffs == [1] + [0] * 10

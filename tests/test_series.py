@@ -154,3 +154,59 @@ def test_max_abs_variants():
     assert TruncSeries.zero(5).max_abs() == (0, 0)
     assert s.is_bloch_polya(upto=0)
     assert not s.is_bloch_polya()
+
+
+def naive_pochhammer(start, step, L, N):
+    # independent reference: every factor is one full-length pass, with no
+    # degree tracking, no division and no mirroring
+    coeffs = [1] + [0] * N
+    i, d = 0, start
+    while (L is None or i < L) and d <= N:
+        for t in range(N, d - 1, -1):
+            coeffs[t] -= coeffs[t - d]
+        i += 1
+        d += step
+    return coeffs
+
+
+def test_pochhammer_against_naive_reference_randomized():
+    rng = random.Random(20260418)
+    for _ in range(400):
+        start = rng.randint(1, 12)
+        step = rng.randint(1, 4)
+        L = rng.choice([None, 0, rng.randint(1, 4), rng.randint(1, 25)])
+        if L is None:
+            N = rng.randint(0, 300)
+        else:
+            full = L * start + step * L * (L - 1) // 2
+            N = rng.randint(0, full + 5)
+        got = pochhammer(start, step, L, N)
+        assert got.order == N
+        assert got.coeffs == naive_pochhammer(start, step, L, N), (start, step, L, N)
+
+
+def test_pochhammer_mirror_boundaries():
+    # orders around half the full degree D and around D itself, for an even
+    # and an odd number of factors, with even and odd D
+    for start, step, L in ((1, 1, 12), (1, 1, 13), (2, 3, 9), (3, 2, 10), (1, 1, 1), (5, 1, 2)):
+        D = L * start + step * L * (L - 1) // 2
+        for N in (D // 2 - 1, D // 2, D // 2 + 1, D - 1, D, D + 1):
+            if N < 0:
+                continue
+            assert pochhammer(start, step, L, N).coeffs == \
+                naive_pochhammer(start, step, L, N), (start, step, L, N)
+
+
+def test_infinite_products_on_both_routes():
+    # (q^s;q)_inf divides (q;q)_inf when s is small against N and multiplies
+    # the factors in when s is close to N; both must equal the reference
+    for start in (1, 2, 3, 7, 30, 55, 60, 61, 62):
+        for N in (0, 1, 60, 61):
+            assert pochhammer(start, 1, None, N).coeffs == \
+                naive_pochhammer(start, 1, None, N), (start, N)
+    assert pochhammer(3, 1, None, 2000).coeffs == naive_pochhammer(3, 1, None, 2000)
+
+
+def test_pochhammer_rejects_negative_order():
+    with pytest.raises(UsageError):
+        pochhammer(1, 1, 3, -1)
