@@ -10,7 +10,8 @@ from .closed_form import CoeffAnswer, a_coeff, b_coeff, first_appearance
 from .classify import (Budget, ClassRecord, ConjectureReport, HTable,
                        WindowRecord, build_s_table, build_shat_table,
                        conjecture_scan, eden_class, poch_class, s_cutoff,
-                       shat_bound, window_check, window_detail)
+                       shat_bound, window_check, window_detail,
+                       window_sweep)
 from .errors import BudgetError, UsageError
 from .fseries import (CorrectionPoly, NoCorrectionError, TailSplit, F_backsolve,
                       F_direct, correction, eden_series, f1_base_identity_check,
@@ -32,5 +33,5 @@ __all__ = [
     "locate_block_a", "locate_block_b", "one_mod_k_identity_check", "p1", "p2",
     "pentagonal_index", "pentagonal_tail", "pnt_series", "poch_class",
     "pochhammer", "qq_poly", "recurrence_check", "s_cutoff", "shat_bound",
-    "tail_split", "window_check", "window_detail",
+    "tail_split", "window_check", "window_detail", "window_sweep",
 ]

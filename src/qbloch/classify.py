@@ -2,16 +2,17 @@
 
 S_h collects the m with max |coefficient of (q;q)_m| equal to h; every m past
 the cut-off (h+2)(6h+17) provably exceeds h, so a finite sweep settles each
-row.  Shat_h does the same for F_k, scanned up to the sufficient bound
-(k-1)(3k^3-3k^2+10k-8)/8.  The window checks certify the inequalities that
-make the S cut-offs work, and conjecture_scan reports (empirically, never as
-proof) on the observed shape of the S_h rows.
+row.  The sweep is witness first: one exact coefficient above H in a short
+truncation of (q;q)_m rules m out, and only the m left over are expanded in
+full.  Shat_h does the same for F_k, scanned up to the sufficient bound
+(k-1)(3k^3-3k^2+10k-8)/8.  Both sweeps run in one process.  The window
+checks certify the inequalities that make the S cut-offs work, and
+conjecture_scan reports (empirically, never as proof) on the observed shape
+of the S_h rows.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, UsageError
@@ -55,11 +56,15 @@ class HTable:
     """Rows h -> (members, cutoff).  kind 'S' classifies (q;q)_m with the
     window cut-offs; kind 'Shat' classifies F_k with the scan horizon K
     standing in as every row's cutoff.  horizon is the last subject index
-    the sweep examined."""
+    the sweep examined.  For kind 'S', certificates[m] (m <= horizon) is the
+    exponent that settles m: |coefficient| > H there for a non-member, the
+    smallest exponent attaining the height for a member; kind 'Shat'
+    leaves it empty."""
 
     kind: str
     rows: dict = field(default_factory=dict)
     horizon: int = 0
+    certificates: tuple = ()
 
     def members(self, h: int):
         return self.rows[h][0] if h in self.rows else ()
@@ -106,112 +111,78 @@ def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
 
-def _scan_poch_range(lo: int, hi: int):
-    """Worker: (m, h, witness) for each m in [lo, hi], carrying (q;q)_m
-    across the range with one in-place binomial multiply per step."""
-    coeffs = [1]
-    out = []
-    for m in range(hi + 1):
-        if m:
-            coeffs.extend([0] * m)
-            _mul_one_minus(coeffs, m)
-        if m >= lo:
-            out.append((m, *_height(coeffs)))
-    return out
-
-
-def _height(coeffs: list):
-    """(max |c|, smallest exponent attaining it) of an (anti)palindromic
-    polynomial, read from its first half without building new coefficients.
-    The half-copy must not outlive the call: it would keep the old
-    coefficients alive through the next in-place multiply."""
-    first_half = coeffs[:(len(coeffs) + 1) // 2]
-    high, low = max(first_half), min(first_half)
-    best = max(high, -low)
-    return best, min(first_half.index(v) for v in (high, low) if abs(v) == best)
-
-
-def _scan_eden_one(k: int):
-    bound = shat_bound(k)
-    h, witness = F_backsolve(k, bound).max_abs()
-    return (k, h, witness, bound)
-
-
-def _range_chunks(last: int, workers: int):
-    """Contiguous [lo, hi] chunks of 0..last with equal worst-case cost.
-
-    A chunk pays lo^3/6 to rebuild its starting polynomial and about twice
-    that rate to sweep (multiply plus coefficient scan), so its cost is
-    (2 hi^3 - lo^3)/6.  Equalizing gives boundaries hi_i^3 = (2 - 2^(1-i)) c;
-    the prefix rebuilds cap the parallel speedup at 2x regardless of workers.
-    """
-    base = last ** 3 / (2 - 2 ** (1 - workers))
-    bounds = sorted({round((base * (2 - 2 ** -i)) ** (1 / 3))
-                     for i in range(workers)})
-    bounds[-1] = last
-    chunks, lo = [], 0
-    for b in bounds:
-        if b >= lo:
-            chunks.append((lo, b))
-            lo = b + 1
-    return chunks
-
-
-def _pool_size(workers: int) -> int:
-    """Validated worker count, capped at the CPU count: more processes than
-    cores only add startup cost, and a huge count must not fork that many."""
+def _check_workers(workers: int) -> None:
+    """Validate the worker count.  Both sweeps run in this process whatever
+    the count, so it changes neither the result nor the work done."""
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+
+
+def _witness_sweep(H: int, horizon: int):
+    """(m, t) for m = 0..horizon, where t is the smallest exponent with
+    |coefficient of q^t in (q;q)_m| > H, or None when none shows below the
+    truncation.
+
+    (q;q)_m is carried modulo q^(T+1), T = 4*horizon, and only to its exact
+    degree below that.  Truncation leaves every kept coefficient exact, so a
+    t found here certifies that m is no member of S_1..S_H.
+    """
+    T = 4 * horizon
+    coeffs = [1]
+    degree = 0
+    for m in range(horizon + 1):
+        if m:
+            degree += m
+            coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
+            _mul_one_minus(coeffs, m)
+        witness = None
+        if max(coeffs) > H or min(coeffs) < -H:
+            witness = next(t for t, c in enumerate(coeffs) if not -H <= c <= H)
+        yield m, witness
 
 
 def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
     """All rows S_1 .. S_H, each with its cut-off, by sweeping m up to
-    s_cutoff(H).  Workers (at most one per CPU) split the sweep into
-    contiguous m-ranges and the merge is by subject index, so the result is
-    worker-count independent."""
+    s_cutoff(H).
+
+    Witness first: an m whose truncated (q;q)_m already shows a coefficient
+    above H is settled by that exponent; only the others (in practice the
+    members) are classified in full by poch_class.  certificates[m] is the
+    exponent that settles m: the truncated witness, or poch_class's witness.
+    workers is validated and otherwise ignored.
+    """
     if H < 1:
         raise UsageError(f"H must be >= 1, got {H}")
-    workers = _pool_size(workers)
+    _check_workers(workers)
     horizon = s_cutoff(H)
     _poch_budget_gate(horizon * (horizon + 1) // 2, budget, f"build_s_table({H})")
-    if workers == 1:
-        results = _scan_poch_range(0, horizon)
-    else:
-        results = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_poch_range, lo, hi)
-                       for lo, hi in _range_chunks(horizon, workers)]
-            for fut in futures:
-                results.extend(fut.result())
-    results.sort()
     rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
-    for m, h, _witness in results:
-        if h <= H:
-            rows[h][0].append(m)
+    certificates = []
+    for m, witness in _witness_sweep(H, horizon):
+        if witness is None:
+            record = poch_class(m, budget)
+            witness = record.witness
+            if record.h <= H:
+                rows[record.h][0].append(m)
+        certificates.append(witness)
     rows = {h: (tuple(members), cutoff) for h, (members, cutoff) in rows.items()}
-    return HTable(kind='S', rows=rows, horizon=horizon)
+    return HTable(kind='S', rows=rows, horizon=horizon,
+                  certificates=tuple(certificates))
 
 
 def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
     """Rows Shat_1 .. Shat_K from eden_class(k) for k <= K.  Every k lands in
     some row (empirically h(k) <= k); empty rows are kept so restrictions of
     the full table stay recognizable.  The scan horizon K fills the cutoff
-    slot, no per-row window bound exists for F_k."""
+    slot, no per-row window bound exists for F_k.  workers is validated and
+    otherwise ignored."""
     if K < 1:
         raise UsageError(f"K must be >= 1, got {K}")
-    workers = _pool_size(workers)
+    _check_workers(workers)
     _poch_budget_gate(shat_bound(K), budget, f"build_shat_table({K})")
-    if workers == 1:
-        results = [_scan_eden_one(k) for k in range(1, K + 1)]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_eden_one, k) for k in range(1, K + 1)]
-            results = [fut.result() for fut in futures]
-    results.sort()
-    top = max(K, max(h for _k, h, _w, _b in results))
-    rows = {h: ([], K) for h in range(1, top + 1)}
-    for k, h, _witness, _bound in results:
+    heights = [eden_class(k, budget).h for k in range(1, K + 1)]
+    rows = {h: ([], K) for h in range(1, max(K, *heights) + 1)}
+    for k, h in enumerate(heights, start=1):
         rows[h][0].append(k)
     rows = {h: (tuple(members), cutoff) for h, (members, cutoff) in rows.items()}
     return HTable(kind='Shat', rows=rows, horizon=K)
@@ -230,25 +201,44 @@ class WindowRecord:
     ok: bool
 
 
-def window_detail(m: int, budget: Budget = DEFAULT_BUDGET) -> WindowRecord:
-    """The applicable window inequality for m, evaluated exactly.
+def _window(m: int):
+    """(exponent, lo, hi) of the window inequality that applies to m."""
+    if m == 42:
+        return 51, 2, 2
+    return 2 * m + 69, 2, (12 if m <= 69 else 6)
+
+
+def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list:
+    """The WindowRecord of each m in first..last, in order, read from one
+    (q;q)_(m-1) carried across the range with one in-place binomial
+    multiply per step.
 
     For m > 69 the coefficient of q^(2m+69) in (q;q)_{m-1} sits in [2,6]; for
     22 <= m <= 69 except 42 it sits in [2,12]; m = 42 is handled by the
     single value check at q^51 in (q;q)_41, where the generic window fails.
     """
-    if m < 22:
-        raise UsageError(f"window inequalities start at m=22, got {m}")
-    if m == 42:
-        exponent, lo, hi = 51, 2, 2
-    elif m <= 69:
-        exponent, lo, hi = 2 * m + 69, 2, 12
-    else:
-        exponent, lo, hi = 2 * m + 69, 2, 6
-    _poch_budget_gate(exponent, budget, f"window_detail({m})")
-    value = pochhammer(1, 1, m - 1, exponent).coeff(exponent)
-    return WindowRecord(m=m, exponent=exponent, value=value, lo=lo, hi=hi,
-                        ok=lo <= value <= hi)
+    if first < 22:
+        raise UsageError(f"window inequalities start at m=22, got {first}")
+    windows = {m: _window(m) for m in range(first, last + 1)}
+    top = max((exponent for exponent, _lo, _hi in windows.values()), default=0)
+    _poch_budget_gate(top, budget, f"window_sweep({first}, {last})")
+    coeffs = [1] + [0] * top
+    records = []
+    for m in range(1, last + 1):
+        if m > 1:
+            _mul_one_minus(coeffs, m - 1)
+        if m in windows:
+            exponent, lo, hi = windows[m]
+            value = coeffs[exponent]
+            records.append(WindowRecord(m=m, exponent=exponent, value=value,
+                                        lo=lo, hi=hi, ok=lo <= value <= hi))
+    return records
+
+
+def window_detail(m: int, budget: Budget = DEFAULT_BUDGET) -> WindowRecord:
+    """The applicable window inequality for m, evaluated exactly: the one-m
+    case of window_sweep."""
+    return window_sweep(m, m, budget)[0]
 
 
 def window_check(m: int, budget: Budget = DEFAULT_BUDGET) -> bool:

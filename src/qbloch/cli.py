@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classify import (Budget, build_s_table, build_shat_table,
-                       conjecture_scan, shat_bound, window_check)
+                       conjecture_scan, shat_bound, window_sweep)
 from .closed_form import a_coeff, b_coeff
 from .errors import BudgetError, OutputError, UsageError
 from .fseries import (F_backsolve, F_direct, NoCorrectionError, correction,
@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=None,
                         help="truncation order when not given positionally")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for table sweeps (default 1)")
+                        help="accepted for compatibility and validated (>= 1); "
+                             "tables are built in one process")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default tsv)")
     common.add_argument("--budget-order", type=int, default=None,
@@ -154,12 +155,22 @@ def _cmd_expand(args, budget, out_stream) -> int:
 def _cmd_coeff(args, budget, out_stream) -> int:
     if not _INDEX_RE.match(args.index):
         raise UsageError(f"index must be a decimal numeral, got {args.index!r}")
-    if len(args.index) > budget.max_digits:
-        raise BudgetError(
-            f"index has {len(args.index)} digits, budget allows {budget.max_digits}")
+    # int() of the index and str() of the answer raise past the interpreter's
+    # int/str conversion limit (0 there means none)
+    convertible = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = min(budget.max_digits, convertible) if convertible else budget.max_digits
+    if len(args.index) > limit:
+        raise BudgetError(f"index has {len(args.index)} digits, at most {limit} "
+                          "are allowed (the digit budget or the interpreter's "
+                          "int conversion limit, whichever is lower)")
     n = int(args.index)
     answer = a_coeff(n) if args.which == "a" else b_coeff(n)
     block = answer.block
+    # 10^L > 2^(3L): a bound of at most 3L bits has fewer than L+1 digits
+    if (convertible and block.upper.bit_length() > 3 * convertible
+            and block.upper >= 10 ** convertible):
+        raise BudgetError(f"the block holding the index ends past {convertible} "
+                          "digits, the interpreter's int conversion limit")
     data = {"index": n, "value": answer.value, "case": answer.case_tag,
             "block": {"n": block.n, "family": block.family,
                       "lower": block.lower, "upper": block.upper,
@@ -274,19 +285,17 @@ def _suite_corrections(budget, workers) -> list:
 
 def _suite_windows(budget, workers) -> list:
     checks = []
-    ok = all(window_check(m, budget) for m in range(22, 70) if m != 42)
+    records = window_sweep(22, 200, budget)
+    ok = all(r.ok for r in records if r.m <= 69 and r.m != 42)
     checks.append(_check("window 22<=m<=69 in [2,12]", ok))
-    checks.append(_check("window m=42 value 2 at q^51", window_check(42, budget)))
-    ok = all(window_check(m, budget) for m in range(70, 201))
-    checks.append(_check("window 69<m<=200 in [2,6]", ok))
+    checks.append(_check("window m=42 value 2 at q^51", records[42 - 22].ok))
+    upper = [r for r in records if r.m > 69]
+    checks.append(_check("window 69<m<=200 in [2,6]", all(r.ok for r in upper)))
 
     b69 = b_coeff(69).value
     pnt = pnt_series(469)
-    ok = True
-    for m in range(70, 201):
-        direct = pochhammer(1, 1, m - 1, 2 * m + 69).coeff(2 * m + 69)
-        three = pnt.coeff(2 * m + 69) + a_coeff(m + 69).value + b69
-        ok = ok and direct == three
+    ok = all(r.value == pnt.coeff(r.exponent) + a_coeff(r.m + 69).value + b69
+             for r in upper)
     checks.append(_check("three-term-window 69<m<=200", ok))
     return checks
 

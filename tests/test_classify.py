@@ -1,14 +1,13 @@
 """Classification tables, cut-offs, coefficient windows, conjecture scan."""
 
 import concurrent.futures
-import os
 
 import pytest
 
 from qbloch.classify import (Budget, ClassRecord, build_s_table,
                              build_shat_table, conjecture_scan, eden_class,
                              poch_class, s_cutoff, shat_bound, window_check,
-                             window_detail)
+                             window_detail, window_sweep)
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
 from qbloch.series import pochhammer
@@ -169,46 +168,55 @@ def test_worker_argument_validation():
         build_shat_table(3, workers=-1)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs every
-    submitted call in this process, so no test forks."""
+class RefusingPool:
+    """Stands in for ProcessPoolExecutor and fails any attempt to start one."""
 
-    sizes = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
-        return fut
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
 
 
-def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+def test_tables_never_start_a_process_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
     base_s, base_shat = build_s_table(3), build_shat_table(6)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    RecordingPool.sizes = []
-    assert build_s_table(3, workers=10 ** 6) == base_s
-    assert build_shat_table(6, workers=10 ** 6) == base_shat
-    assert RecordingPool.sizes == [3, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert build_s_table(3, workers=10 ** 6) == base_s
-    assert build_shat_table(6, workers=10 ** 6) == base_shat
-    assert RecordingPool.sizes == [3, 3]  # one CPU: no pool at all
+    for workers in (2, 10 ** 6):
+        assert build_s_table(3, workers=workers) == base_s
+        assert build_shat_table(6, workers=workers) == base_shat
 
 
 def test_s_sweep_heights_and_witnesses_match_poch_class():
-    # the sweep reads each (q;q)_m's first half only; poch_class scans the
-    # whole polynomial, built independently by pochhammer
-    from qbloch.classify import _scan_poch_range
-    for lo, hi in ((0, 45), (30, 60)):
-        for m, h, witness in _scan_poch_range(lo, hi):
+    # poch_class scans each whole polynomial, built independently by
+    # pochhammer; the sweep settles non-members from a truncation
+    for H in (1, 2, 3, 5, 8):
+        table = build_s_table(H)
+        member_of = {m: h for h, (members, _c) in table.rows.items() for m in members}
+        for m in range(61):
             record = poch_class(m)
-            assert (h, witness) == (record.h, record.witness), m
+            assert (m in member_of) == (record.h <= H), (H, m)
+            if m in member_of:
+                assert member_of[m] == record.h, (H, m)
+                assert table.certificates[m] == record.witness, (H, m)
+
+
+def test_s_table_certificates_are_exact_witnesses():
+    # each certificate's coefficient, recomputed by its own pochhammer call,
+    # exceeds H for a non-member and is the member's height otherwise
+    for H in range(1, 6):
+        table = build_s_table(H)
+        assert len(table.certificates) == table.horizon + 1
+        member_of = {m: h for h, (members, _c) in table.rows.items() for m in members}
+        for m, t in enumerate(table.certificates):
+            value = abs(pochhammer(1, 1, m, t).coeff(t))
+            if m in member_of:
+                assert value == member_of[m], (H, m)
+            else:
+                assert value > H, (H, m)
+
+
+def test_window_sweep_matches_direct_coefficients():
+    records = window_sweep(22, 200)
+    assert [r.m for r in records] == list(range(22, 201))
+    for r in records:
+        assert r.value == pochhammer(1, 1, r.m - 1, r.exponent).coeff(r.exponent), r.m
+        assert r.ok == (r.lo <= r.value <= r.hi)
+        assert window_detail(r.m) == r
+    assert (records[42 - 22].exponent, records[42 - 22].value) == (51, 2)

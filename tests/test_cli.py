@@ -60,6 +60,28 @@ def test_coeff_b_huge_index():
     assert fields[1] == "rise"
 
 
+@pytest.mark.parametrize("which,index", [("a", "2" * 4301), ("b", "3" * 10000),
+                                         ("a", "9" * 4300), ("b", "9" * 4300)])
+def test_coeff_past_the_int_conversion_limit_is_refused(which, index):
+    # a 4300-digit index of nines lies in a block whose upper bound has 4301
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"}
+    proc = run_cli("coeff", which, index, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_coeff_without_an_int_conversion_limit_answers_past_4300_digits():
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0"}
+    proc = run_cli("coeff", "b", "9" * 4301, env=env)
+    assert proc.returncode == 0
+    upper = tsv_lines(proc)[1].split("\t")[5]
+    assert len(upper) == 4302  # printable only without the limit
+    refused = run_cli("coeff", "b", "3" * 10001, env=env)
+    assert refused.returncode == 3
+
+
 def test_coeff_rejects_non_numeral():
     proc = run_cli("coeff", "a", "1e5")
     assert proc.returncode == 2
