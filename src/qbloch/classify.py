@@ -5,7 +5,8 @@ the cut-off (h+2)(6h+17) provably exceeds h, so a finite sweep settles each
 row.  The sweep is witness first: one exact coefficient above H in a short
 truncation of (q;q)_m rules m out, and only the m left over are expanded in
 full.  Shat_h does the same for F_k, scanned up to the sufficient bound
-(k-1)(3k^3-3k^2+10k-8)/8.  Both sweeps run in one process.  The window
+(k-1)(3k^3-3k^2+10k-8)/8.  Both sweeps run in one process and take no
+worker count; the CLI accepts one, validates it and ignores it.  The window
 checks certify the inequalities that make the S cut-offs work, and
 conjecture_scan reports (empirically, never as proof) on the observed shape
 of the S_h rows.
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
-from .pentagonal import p1
-from .series import TruncSeries, _mul_one_minus, pochhammer
+from .oracle import ENUM_LIMIT, ENUM_LIMIT_EDEN
+from .series import _carried_products, pochhammer
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class Budget:
 
     max_order: int = 250_000
     max_digits: int = 10_000
-    max_enum: int = 300
-    max_enum_eden: int = 100
+    max_enum: int = ENUM_LIMIT
+    max_enum_eden: int = ENUM_LIMIT_EDEN
 
 
 DEFAULT_BUDGET = Budget()
@@ -59,7 +60,8 @@ class HTable:
     the sweep examined.  For kind 'S', certificates[m] (m <= horizon) is the
     exponent that settles m: |coefficient| > H there for a non-member, the
     smallest exponent attaining the height for a member; kind 'Shat'
-    leaves it empty."""
+    leaves it empty.  A table is a function of its limit alone: neither
+    build_s_table nor build_shat_table takes a worker count."""
 
     kind: str
     rows: dict = field(default_factory=dict)
@@ -111,74 +113,44 @@ def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
 
-def _check_workers(workers: int) -> None:
-    """Validate the worker count.  Both sweeps run in this process whatever
-    the count, so it changes neither the result nor the work done."""
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-
-
-def _witness_sweep(H: int, horizon: int):
-    """(m, t) for m = 0..horizon, where t is the smallest exponent with
-    |coefficient of q^t in (q;q)_m| > H, or None when none shows below the
-    truncation.
-
-    (q;q)_m is carried modulo q^(T+1), T = 4*horizon, and only to its exact
-    degree below that.  Truncation leaves every kept coefficient exact, so a
-    t found here certifies that m is no member of S_1..S_H.
-    """
-    T = 4 * horizon
-    coeffs = [1]
-    degree = 0
-    for m in range(horizon + 1):
-        if m:
-            degree += m
-            coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
-            _mul_one_minus(coeffs, m)
-        witness = None
-        if max(coeffs) > H or min(coeffs) < -H:
-            witness = next(t for t, c in enumerate(coeffs) if not -H <= c <= H)
-        yield m, witness
-
-
-def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
+def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     """All rows S_1 .. S_H, each with its cut-off, by sweeping m up to
     s_cutoff(H).
 
-    Witness first: an m whose truncated (q;q)_m already shows a coefficient
-    above H is settled by that exponent; only the others (in practice the
-    members) are classified in full by poch_class.  certificates[m] is the
-    exponent that settles m: the truncated witness, or poch_class's witness.
-    workers is validated and otherwise ignored.
+    Witness first: (q;q)_m is carried across m modulo q^(T+1),
+    T = 4*s_cutoff(H).  Truncation leaves every kept coefficient exact, so
+    the smallest t there with |coefficient| > H settles m as a non-member.
+    Only the other m (in practice the members) are classified in full by
+    poch_class.  certificates[m] is the exponent that settles m: the
+    truncated witness, or poch_class's witness.
     """
     if H < 1:
         raise UsageError(f"H must be >= 1, got {H}")
-    _check_workers(workers)
     horizon = s_cutoff(H)
     _poch_budget_gate(horizon * (horizon + 1) // 2, budget, f"build_s_table({H})")
     rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
     certificates = []
-    for m, witness in _witness_sweep(H, horizon):
-        if witness is None:
-            record = poch_class(m, budget)
-            witness = record.witness
-            if record.h <= H:
-                rows[record.h][0].append(m)
-        certificates.append(witness)
+    for m, coeffs in enumerate(_carried_products(1, 1, horizon, 4 * horizon)):
+        if max(coeffs) > H or min(coeffs) < -H:
+            certificates.append(next(t for t, c in enumerate(coeffs)
+                                     if not -H <= c <= H))
+            continue
+        record = poch_class(m, budget)
+        if record.h <= H:
+            rows[record.h][0].append(m)
+        certificates.append(record.witness)
     rows = {h: (tuple(members), cutoff) for h, (members, cutoff) in rows.items()}
     return HTable(kind='S', rows=rows, horizon=horizon,
                   certificates=tuple(certificates))
 
 
-def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> HTable:
+def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     """Rows Shat_1 .. Shat_K from eden_class(k) for k <= K.  Every k lands in
     some row (empirically h(k) <= k); empty rows are kept so restrictions of
     the full table stay recognizable.  The scan horizon K fills the cutoff
-    slot, no per-row window bound exists for F_k.  workers is validated and
-    otherwise ignored."""
+    slot, no per-row window bound exists for F_k."""
     if K < 1:
         raise UsageError(f"K must be >= 1, got {K}")
-    _check_workers(workers)
     _poch_budget_gate(shat_bound(K), budget, f"build_shat_table({K})")
     heights = [eden_class(k, budget).h for k in range(1, K + 1)]
     rows = {h: ([], K) for h in range(1, max(K, *heights) + 1)}
@@ -210,8 +182,8 @@ def _window(m: int):
 
 def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list:
     """The WindowRecord of each m in first..last, in order, read from one
-    (q;q)_(m-1) carried across the range with one in-place binomial
-    multiply per step.
+    (q;q)_(m-1) carried across the range.  Its degree m(m-1)/2 exceeds
+    every window exponent once m >= 22, so the carried list reaches each.
 
     For m > 69 the coefficient of q^(2m+69) in (q;q)_{m-1} sits in [2,6]; for
     22 <= m <= 69 except 42 it sits in [2,12]; m = 42 is handled by the
@@ -222,11 +194,8 @@ def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list
     windows = {m: _window(m) for m in range(first, last + 1)}
     top = max((exponent for exponent, _lo, _hi in windows.values()), default=0)
     _poch_budget_gate(top, budget, f"window_sweep({first}, {last})")
-    coeffs = [1] + [0] * top
     records = []
-    for m in range(1, last + 1):
-        if m > 1:
-            _mul_one_minus(coeffs, m - 1)
+    for m, coeffs in enumerate(_carried_products(1, 1, last - 1, top), start=1):
         if m in windows:
             exponent, lo, hi = windows[m]
             value = coeffs[exponent]
@@ -263,11 +232,11 @@ class ConjectureReport:
     notes: tuple
 
 
-def conjecture_scan(H: int, budget: Budget = DEFAULT_BUDGET, workers: int = 1) -> ConjectureReport:
+def conjecture_scan(H: int, budget: Budget = DEFAULT_BUDGET) -> ConjectureReport:
     """Scan S_1..S_H and report on three observed patterns: rows with h > 16
     hold at most one member; their members increase with h; and for h > 5 the
     union of the first h rows is a consecutive block starting at 0."""
-    table = build_s_table(H, budget=budget, workers=workers)
+    table = build_s_table(H, budget=budget)
     notes = []
 
     singleton = None

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classify import (Budget, build_s_table, build_shat_table,
-                       conjecture_scan, shat_bound, window_sweep)
+                       conjecture_scan, eden_class, shat_bound, window_sweep)
 from .closed_form import a_coeff, b_coeff
 from .errors import BudgetError, OutputError, UsageError
 from .fseries import (F_backsolve, F_direct, NoCorrectionError, correction,
@@ -27,10 +27,10 @@ from .fseries import (F_backsolve, F_direct, NoCorrectionError, correction,
 from .oracle import (count_distinct_table, distinct_partitions, eden_count,
                      eden_signed_sum, one_mod_k_signed_sum,
                      signed_distinct_sum, signed_distinct_table)
-from .pentagonal import p1, pnt_series
+from .pentagonal import pnt_series
 from .series import TruncSeries, pochhammer
 
-_INDEX_RE = re.compile(r"^[0-9]+$")
+_INDEX_RE = re.compile(r"[0-9]+")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=None,
                         help="truncation order when not given positionally")
     common.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and validated (>= 1); "
-                             "tables are built in one process")
+                        help="accepted for compatibility and validated (>= 1), "
+                             "otherwise ignored: every command runs in one process")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default tsv)")
     common.add_argument("--budget-order", type=int, default=None,
@@ -153,7 +153,7 @@ def _cmd_expand(args, budget, out_stream) -> int:
 
 
 def _cmd_coeff(args, budget, out_stream) -> int:
-    if not _INDEX_RE.match(args.index):
+    if not _INDEX_RE.fullmatch(args.index):
         raise UsageError(f"index must be a decimal numeral, got {args.index!r}")
     # int() of the index and str() of the answer raise past the interpreter's
     # int/str conversion limit (0 there means none)
@@ -184,9 +184,9 @@ def _cmd_table(args, budget, out_stream) -> int:
     if args.limit < 1:
         raise UsageError(f"limit must be >= 1, got {args.limit}")
     if args.kind == "S":
-        table = build_s_table(args.limit, budget=budget, workers=args.workers)
+        table = build_s_table(args.limit, budget=budget)
     else:
-        table = build_shat_table(args.limit, budget=budget, workers=args.workers)
+        table = build_shat_table(args.limit, budget=budget)
     rows = [(h, ",".join(str(m) for m in members), cutoff)
             for h, (members, cutoff) in sorted(table.rows.items())]
     data = {"kind": table.kind, "horizon": table.horizon,
@@ -199,7 +199,7 @@ def _check(name, ok, detail="") -> tuple:
     return (name, "pass" if ok else "fail", detail)
 
 
-def _suite_identities(budget, workers) -> list:
+def _suite_identities(budget) -> list:
     checks = []
     ok = all(recurrence_check(k, M) for k in range(1, 5) for M in (1, 3, 7, 12))
     checks.append(_check("finite-recurrence k<=4 M<=12", ok))
@@ -217,7 +217,7 @@ def _suite_identities(budget, workers) -> list:
     return checks
 
 
-def _suite_oracle(budget, workers) -> list:
+def _suite_oracle(budget) -> list:
     checks = []
     limit = budget.max_enum
     n_small = min(36, limit)
@@ -260,7 +260,7 @@ def _suite_oracle(budget, workers) -> list:
     return checks
 
 
-def _suite_corrections(budget, workers) -> list:
+def _suite_corrections(budget) -> list:
     checks = []
     for k in (1, 2, 3, 4, 6):
         horizon = max(shat_bound(k), 500)
@@ -276,14 +276,13 @@ def _suite_corrections(budget, workers) -> list:
             continue
         except NoCorrectionError:
             pass
-        bound = shat_bound(k)
-        h, witness = F_direct(k, None, bound).max_abs()
-        checks.append(_check(f"correction k={k} none-exists", h >= 2,
-                             f"max |coeff| {h} at q^{witness}"))
+        record = eden_class(k, budget)
+        checks.append(_check(f"correction k={k} none-exists", record.h >= 2,
+                             f"max |coeff| {record.h} at q^{record.witness}"))
     return checks
 
 
-def _suite_windows(budget, workers) -> list:
+def _suite_windows(budget) -> list:
     checks = []
     records = window_sweep(22, 200, budget)
     ok = all(r.ok for r in records if r.m <= 69 and r.m != 42)
@@ -300,8 +299,8 @@ def _suite_windows(budget, workers) -> list:
     return checks
 
 
-def _suite_conjecture(budget, workers) -> list:
-    report = conjecture_scan(8, budget=budget, workers=workers)
+def _suite_conjecture(budget) -> list:
+    report = conjecture_scan(8, budget=budget)
     checks = [_check("scan-label EMPIRICAL", report.label == "EMPIRICAL")]
     for name, value in (("rows-singleton h>16", report.singleton_above_16),
                         ("members-increasing h>16", report.increasing_above_16),
@@ -327,7 +326,7 @@ _SUITES = {
 
 
 def _cmd_verify(args, budget, out_stream) -> int:
-    checks = _SUITES[args.suite](budget, args.workers)
+    checks = _SUITES[args.suite](budget)
     data = [{"check": name, "result": result, "detail": detail}
             for name, result, detail in checks]
     _emit(args, [args.suite], data, checks, out_stream)

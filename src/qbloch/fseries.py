@@ -190,7 +190,9 @@ class TailSplit:
         return pentagonal_tail(self.k, N)
 
     def reconstruct(self, N: int) -> TruncSeries:
-        """P + tail_factor * T at order N; must reproduce F_direct exactly."""
+        """P + tail_factor * T at order N; must reproduce F_direct exactly.
+        P is built from F_backsolve, so that comparison checks two
+        independent constructions."""
         if N > self.P.order:
             raise UsageError(f"order {N} exceeds the stored head order {self.P.order}")
         factor = TruncSeries(list(self.tail_factor.coeffs), N)
@@ -230,7 +232,7 @@ def tail_split(k: int, N: int) -> TailSplit:
             f"to expose two tail terms for k={k}")
     factor_full = qq_poly(k - 1)
     factor_n = TruncSeries(list(factor_full.coeffs), N)
-    head = F_direct(k, None, N) - factor_n * pentagonal_tail(k, N)
+    head = F_backsolve(k, N) - factor_n * pentagonal_tail(k, N)
     first_tail_exp = p1(ns) - shift
     if head.degree() >= first_tail_exp:
         raise RuntimeError(

@@ -230,34 +230,36 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
         # infinite one below q^(N+1)
         L = 0 if start > N else (N - start) // step + 1
     full = L * start + step * L * (L - 1) // 2
-    half = full // 2
-    if N <= half:
-        return TruncSeries(_grow_product(start, step, L, N), N)
-    coeffs = _grow_product(start, step, L, half)
-    top = min(N, full)
-    mirrored = coeffs[full - top:full - half][::-1]
-    coeffs += mirrored if L % 2 == 0 else [-c for c in mirrored]
+    T = min(N, full // 2)
+    for coeffs in _carried_products(start, step, L, T):
+        pass
+    coeffs.extend([0] * (T + 1 - len(coeffs)))
+    if N > T:
+        top = min(N, full)
+        mirrored = coeffs[full - top:full - T][::-1]
+        coeffs += mirrored if L % 2 == 0 else [-c for c in mirrored]
     return TruncSeries(coeffs, N)
 
 
-def _grow_product(start: int, step: int, L: int, T: int) -> list:
-    """Coefficients 0..T of the product of (1 - q^(start + step*i)), i < L.
+def _carried_products(start: int, step: int, L: int, T: int):
+    """The product of the first i factors (1 - q^(start + step*j)), j < i,
+    modulo q^(T+1), yielded for i = 0, 1, ..., L.
 
-    The carried list only ever reaches min(T, degree so far); factors past
-    q^T cannot reach the kept coefficients.
+    The coefficients live in one list, multiplied in place and only ever
+    min(T, degree so far) + 1 long, so every yield is that same list: read
+    it before advancing.  The sweep ends at the first factor past q^T,
+    which cannot reach the kept coefficients.
     """
     coeffs = [1]
     degree = 0
-    d = start
-    for _ in range(L):
+    yield coeffs
+    for d in range(start, start + step * L, step):
         if d > T:
-            break
+            return
         degree += d
         coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
         _mul_one_minus(coeffs, d)
-        d += step
-    coeffs.extend([0] * (T + 1 - len(coeffs)))
-    return coeffs
+        yield coeffs
 
 
 def _divided_infinite(start: int, N: int) -> TruncSeries:

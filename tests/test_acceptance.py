@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from qbloch.classify import (build_s_table, build_shat_table, conjecture_scan,
-                             eden_class, shat_bound, window_check,
-                             window_detail)
+from qbloch.classify import (build_s_table, conjecture_scan, eden_class,
+                             shat_bound, window_check, window_detail)
+from qbloch.cli import main
 from qbloch.closed_form import a_coeff, b_coeff, first_appearance
 from qbloch.fseries import (F_backsolve, F_direct, NoCorrectionError,
                             correction, eden_series, f1_base_identity_check,
@@ -181,10 +181,10 @@ def test_09_enumeration_equivalence_and_tail_splits():
             for k in (5, 6)} == {161, 355}
 
 
-def test_10_randomized_properties_and_determinism():
+def test_10_randomized_properties_and_determinism(capsys):
     """Ring and round-trip laws on >= 1000 randomized cases; block location
-    round-trips on 10^6 random indices up to 10^100; identical tables from
-    any worker count."""
+    round-trips on 10^6 random indices up to 10^100; byte-identical table
+    output from any --workers value."""
     rng = random.Random(20260819)
 
     def rand_series(order):
@@ -216,8 +216,13 @@ def test_10_randomized_properties_and_determinism():
             blk = locate(i)
             assert blk.contains(i), (locate.__name__, i)
 
-    assert build_s_table(3, workers=4) == build_s_table(3, workers=1)
-    assert build_shat_table(8, workers=3) == build_shat_table(8, workers=1)
+    for argv in (["table", "S", "3"], ["table", "Shat", "8"]):
+        outs = []
+        for workers in ("1", "4"):
+            assert main(argv + ["--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith(f"# table {argv[1]} ")
+        assert outs[1] == outs[0]
 
 
 def test_11_conjecture_scan_reports_empirical_only():

@@ -8,6 +8,7 @@ from qbloch.classify import (Budget, ClassRecord, build_s_table,
                              build_shat_table, conjecture_scan, eden_class,
                              poch_class, s_cutoff, shat_bound, window_check,
                              window_detail, window_sweep)
+from qbloch.cli import main
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
 from qbloch.series import pochhammer
@@ -66,10 +67,19 @@ def test_s_table_members_agree_with_poch_class():
     assert len(flat) == len(set(flat))
 
 
-def test_s_table_worker_determinism():
+def test_s_table_worker_determinism(capsys):
+    # the table takes no worker count; --workers on the CLI must not move it
     base = build_s_table(3)
-    assert build_s_table(3, workers=2) == base
-    assert build_s_table(3, workers=5) == base
+    assert build_s_table(3) == base
+    expected = [f"{h}\t{','.join(map(str, members))}\t{bound}"
+                for h, (members, bound) in sorted(base.rows.items())]
+    for workers in ("1", "2", "5"):
+        assert main(["table", "S", "3", "--workers", workers]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line for line in captured.out.splitlines()
+                if not line.startswith("#")]
+        assert rows == expected
 
 
 def test_eden_class_examples():
@@ -89,12 +99,11 @@ def test_shat_table_small_and_large():
     single = build_shat_table(1)
     assert {h: row[0] for h, row in single.rows.items()} == {1: (1,)}
 
-    full = build_shat_table(15, workers=3)
+    full = build_shat_table(15)
     got = {h: row[0] for h, row in full.rows.items()}
     for h, members in TABLE_SHAT_15.items():
         assert got[h] == members
     assert all(got[h] == () for h in range(9, 16))
-    assert full == build_shat_table(15)
 
 
 def test_small_window_facts_from_direct_expansion():
@@ -161,13 +170,6 @@ def test_conjecture_scan_h5_union_has_gap():
     assert report.consecutive_union_above_5 is None
 
 
-def test_worker_argument_validation():
-    with pytest.raises(UsageError):
-        build_s_table(2, workers=0)
-    with pytest.raises(UsageError):
-        build_shat_table(3, workers=-1)
-
-
 class RefusingPool:
     """Stands in for ProcessPoolExecutor and fails any attempt to start one."""
 
@@ -175,12 +177,18 @@ class RefusingPool:
         raise AssertionError("a process pool was started")
 
 
-def test_tables_never_start_a_process_pool(monkeypatch):
+def test_tables_never_start_a_process_pool(monkeypatch, capsys):
+    # --workers lives on the CLI only; no count may start a pool there
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
-    base_s, base_shat = build_s_table(3), build_shat_table(6)
-    for workers in (2, 10 ** 6):
-        assert build_s_table(3, workers=workers) == base_s
-        assert build_shat_table(6, workers=workers) == base_shat
+    for argv in (["table", "S", "3"], ["table", "Shat", "6"]):
+        outs = []
+        for workers in ("1", "2", str(10 ** 6)):
+            assert main(argv + ["--workers", workers]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0].startswith(f"# table {argv[1]} ")
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_s_sweep_heights_and_witnesses_match_poch_class():

@@ -1,7 +1,9 @@
-"""End-to-end runs of the command-line interface via subprocess."""
+"""End-to-end runs of the command-line interface, via subprocess except
+for the random-argv contract test, which calls main in-process."""
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 from qbloch import __version__
+from qbloch.cli import main
 from qbloch.fseries import F_direct
 
 B_HUGE_INDEX = str(10 ** 100)
@@ -83,9 +86,11 @@ def test_coeff_without_an_int_conversion_limit_answers_past_4300_digits():
 
 
 def test_coeff_rejects_non_numeral():
-    proc = run_cli("coeff", "a", "1e5")
-    assert proc.returncode == 2
-    assert "usage error" in proc.stderr
+    for index in ("1e5", "12\n"):
+        proc = run_cli("coeff", "a", index)
+        assert proc.returncode == 2, repr(index)
+        assert proc.stdout == ""
+        assert "usage error" in proc.stderr
 
 
 def test_expand_over_budget():
@@ -120,12 +125,33 @@ def test_expand_json_round_trip():
 
 
 def test_table_workers_byte_identical():
-    runs = [run_cli("table", "S", "2", "--workers", str(w)) for w in (1, 3)]
-    assert all(p.returncode == 0 for p in runs)
-    assert runs[0].stdout == runs[1].stdout
-    lines = tsv_lines(runs[0])
-    assert lines[1] == "1\t0,1,2,3,5\t69"
-    assert lines[2] == "2\t4,6,7,8,9,11\t116"
+    for limit, workers in (("2", (1, 3)), ("3", (1, 2, 5))):
+        runs = [run_cli("table", "S", limit, "--workers", str(w)) for w in workers]
+        assert all(p.returncode == 0 for p in runs)
+        assert all(p.stdout == runs[0].stdout for p in runs)
+        lines = tsv_lines(runs[0])
+        assert lines[1] == "1\t0,1,2,3,5\t69"
+        assert lines[2] == "2\t4,6,7,8,9,11\t116"
+    assert lines[3] == "3\t10,13,14\t175"
+
+
+def test_worker_argument_validation():
+    for argv in (("table", "S", "2", "--workers", "0"),
+                 ("table", "Shat", "3", "--workers", "-1")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: --workers must be >= 1")
+        assert len(proc.stderr.splitlines()) == 1
+
+
+def test_verify_corrections_honors_the_order_budget():
+    # the none-exists rows classify F_k to shat_bound(k), 1239 for k = 8
+    proc = run_cli("verify", "corrections", "--budget-order", "1000")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_out_file_matches_stdout(tmp_path):
@@ -275,3 +301,60 @@ def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
     assert target.read_text() == run_cli("expand", "pnt", "12").stdout
     assert os.stat(target).st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsv", "link.tsv"]
+
+
+def _random_argv(rng, out_paths):
+    """One argv over the CLI grammar; about one word in ten is invalid.
+    Every argv carries both budget flags, at most 3000 and 40, which keep
+    each accepted command small."""
+    def pick(valid, invalid):
+        return rng.choice(invalid if rng.random() < 0.1 else valid)
+
+    def number():
+        return pick(["-1", "0", "1", "2", "3", "7", "40", "999", "100000"], ["x", "1.5", ""])
+
+    command = pick(["expand", "coeff", "table", "verify"], ["bogus"])
+    argv = [command]
+    if command == "expand":
+        argv.append(pick(["pnt", "q2inf", "q3inf", "poch", "f"], ["nope"]))
+        argv += [number() for _ in range(rng.randint(0, 3))]
+    elif command == "coeff":
+        argv.append(pick(["a", "b"], ["c"]))
+        argv.append(pick(["0", "7", "12", "9" * 20, "9" * 4300, "9" * 4301],
+                         ["12\n", " 12", "-4", "1e5", "", "12a", "\u0663"]))
+    elif command == "table":
+        argv += [pick(["S", "Shat"], ["T"]), number()]
+    elif command == "verify":
+        argv.append(pick(["identities", "oracle", "corrections", "windows",
+                          "conjecture"], ["nope"]))
+    if rng.random() < 0.3:
+        argv += ["--order", number()]
+    if rng.random() < 0.3:
+        argv += ["--workers", pick(["1", "2", "1000000"], ["-1", "0"])]
+    if rng.random() < 0.3:
+        argv += ["--format", pick(["tsv", "json"], ["xml"])]
+    if rng.random() < 0.2:
+        argv += ["--out", rng.choice(out_paths)]
+    argv += ["--budget-order", rng.choice(["-1", "0", "50", "500", "3000"]),
+             "--budget-enum", rng.choice(["-1", "0", "5", "40"])]
+    return argv
+
+
+def test_random_argv_keeps_the_exit_code_contract(capsys, tmp_path):
+    rng = random.Random(20171)
+    out_paths = [str(tmp_path / "out.txt"), str(tmp_path / "no" / "out.txt"),
+                 str(tmp_path)]
+    seen = set()
+    for _ in range(300):
+        argv = _random_argv(rng, out_paths)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == 2, argv
+            code = 2
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4), argv
+        if code == 0:
+            assert err == "", argv
+        seen.add(code)
+    assert {0, 2, 3} <= seen
