@@ -36,6 +36,14 @@ class Budget:
     max_enum: int = ENUM_LIMIT
     max_enum_eden: int = ENUM_LIMIT_EDEN
 
+    def require_order(self, order: int, what: str) -> None:
+        """Raise BudgetError if `what` needs a truncation order or full
+        degree past max_order; callers ask before they start the work."""
+        if order > self.max_order:
+            raise BudgetError(
+                f"{what} needs expansion order {order} > budget {self.max_order} "
+                f"(roughly {8 * (order + 1)} bytes of coefficients)")
+
 
 DEFAULT_BUDGET = Budget()
 
@@ -88,19 +96,12 @@ def shat_bound(k: int) -> int:
     return (k - 1) * (3 * k ** 3 - 3 * k ** 2 + 10 * k - 8) // 8
 
 
-def _poch_budget_gate(order: int, budget: Budget, what: str) -> None:
-    if order > budget.max_order:
-        raise BudgetError(
-            f"{what} needs expansion order {order} > budget {budget.max_order} "
-            f"(roughly {8 * (order + 1)} bytes of coefficients)")
-
-
 def poch_class(m: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     """Classify (q;q)_m by its max absolute coefficient over the full polynomial."""
     if m < 0:
         raise UsageError(f"m must be >= 0, got {m}")
     bound = m * (m + 1) // 2
-    _poch_budget_gate(bound, budget, f"poch_class({m})")
+    budget.require_order(bound, f"poch_class({m})")
     h, witness = pochhammer(1, 1, m, bound).max_abs()
     return ClassRecord(kind='poch', index=m, h=h, witness=witness, bound_used=bound)
 
@@ -108,7 +109,7 @@ def poch_class(m: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
 def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     """Classify F_k by its max absolute coefficient over [0, shat_bound(k)]."""
     bound = shat_bound(k)
-    _poch_budget_gate(bound, budget, f"eden_class({k})")
+    budget.require_order(bound, f"eden_class({k})")
     h, witness = F_backsolve(k, bound).max_abs()
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
@@ -127,7 +128,7 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     if H < 1:
         raise UsageError(f"H must be >= 1, got {H}")
     horizon = s_cutoff(H)
-    _poch_budget_gate(horizon * (horizon + 1) // 2, budget, f"build_s_table({H})")
+    budget.require_order(horizon * (horizon + 1) // 2, f"build_s_table({H})")
     rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
     certificates = []
     for m, coeffs in enumerate(_carried_products(1, 1, horizon, 4 * horizon)):
@@ -145,13 +146,15 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
 
 
 def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
-    """Rows Shat_1 .. Shat_K from eden_class(k) for k <= K.  Every k lands in
-    some row (empirically h(k) <= k); empty rows are kept so restrictions of
-    the full table stay recognizable.  The scan horizon K fills the cutoff
-    slot, no per-row window bound exists for F_k."""
+    """Rows Shat_1 .. Shat_max(K, h) from eden_class(k) for k <= K, h the
+    largest height seen.  Every k lands in some row: h(k) <= k holds up to
+    k = 21, but h(22) = 24 and h(25) = 37, so rows can run past K.  Empty
+    rows are kept so restrictions of the full table stay recognizable.  The
+    scan horizon K fills the cutoff slot, no per-row window bound exists
+    for F_k."""
     if K < 1:
         raise UsageError(f"K must be >= 1, got {K}")
-    _poch_budget_gate(shat_bound(K), budget, f"build_shat_table({K})")
+    budget.require_order(shat_bound(K), f"build_shat_table({K})")
     heights = [eden_class(k, budget).h for k in range(1, K + 1)]
     rows = {h: ([], K) for h in range(1, max(K, *heights) + 1)}
     for k, h in enumerate(heights, start=1):
@@ -193,7 +196,7 @@ def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list
         raise UsageError(f"window inequalities start at m=22, got {first}")
     windows = {m: _window(m) for m in range(first, last + 1)}
     top = max((exponent for exponent, _lo, _hi in windows.values()), default=0)
-    _poch_budget_gate(top, budget, f"window_sweep({first}, {last})")
+    budget.require_order(top, f"window_sweep({first}, {last})")
     records = []
     for m, coeffs in enumerate(_carried_products(1, 1, last - 1, top), start=1):
         if m in windows:

@@ -80,6 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_budget(args) -> Budget:
+    for flag, value in (("--budget-order", args.budget_order),
+                        ("--budget-enum", args.budget_enum)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     base = Budget()
     enum = args.budget_enum if args.budget_enum is not None else base.max_enum
     enum_eden = (args.budget_enum if args.budget_enum is not None
@@ -92,7 +96,8 @@ def _make_budget(args) -> Budget:
 
 
 def _emit(args, header_args, data, rows, out_stream) -> None:
-    """rows: list of tuples already stringified for tsv; data: json payload."""
+    """rows: tsv lines as tuples of one length, each cell printed by str();
+    data: json payload."""
     if args.format == "json":
         doc = {"meta": {"command": args.command,
                         "args": [str(a) for a in header_args],
@@ -102,8 +107,9 @@ def _emit(args, header_args, data, rows, out_stream) -> None:
     else:
         head = " ".join(str(a) for a in header_args)
         out_stream.write(f"# {args.command} {head} {__version__}\n")
-        for row in rows:
-            out_stream.write("\t".join(str(x) for x in row) + "\n")
+        if rows:
+            line = "\t".join(["%s"] * len(rows[0])) + "\n"
+            out_stream.write("".join([line % row for row in rows]))
 
 
 def _resolve_order(args, tail_params) -> int:
@@ -130,8 +136,7 @@ def _cmd_expand(args, budget, out_stream) -> int:
     order = _resolve_order(args, params)
     if order < 0:
         raise UsageError(f"order must be >= 0, got {order}")
-    if order > budget.max_order:
-        raise BudgetError(f"order {order} exceeds budget {budget.max_order}")
+    budget.require_order(order, f"expand {args.target}")
 
     if args.target == "pnt":
         series = pnt_series(order)
@@ -148,7 +153,9 @@ def _cmd_expand(args, budget, out_stream) -> int:
 
     header = [args.target] + ([idx] if idx is not None else []) + [order]
     pairs = series.nonzero_items()
-    data = {"order": order, "coefficients": [[e, c] for e, c in pairs]}
+    data = None
+    if args.format == "json":
+        data = {"order": order, "coefficients": [[e, c] for e, c in pairs]}
     return _finish(args, header, data, pairs, out_stream)
 
 
@@ -200,6 +207,9 @@ def _check(name, ok, detail="") -> tuple:
 
 
 def _suite_identities(budget) -> list:
+    # the largest order built below: the tail splits at 500 (the base
+    # identity at M = 30 reaches 496, the recurrences 143)
+    budget.require_order(500, "verify identities")
     checks = []
     ok = all(recurrence_check(k, M) for k in range(1, 5) for M in (1, 3, 7, 12))
     checks.append(_check("finite-recurrence k<=4 M<=12", ok))
@@ -261,14 +271,17 @@ def _suite_oracle(budget) -> list:
 
 
 def _suite_corrections(budget) -> list:
+    corrected = {k: max(shat_bound(k), 500) for k in (1, 2, 3, 4, 6)}
+    uncorrectable = (5, 7, 8, 9, 10, 11, 12)
+    budget.require_order(max(*corrected.values(), *map(shat_bound, uncorrectable)),
+                         "verify corrections")
     checks = []
-    for k in (1, 2, 3, 4, 6):
-        horizon = max(shat_bound(k), 500)
+    for k, horizon in corrected.items():
         corr = correction(k).poly
         diff = F_direct(k, None, horizon) - TruncSeries(list(corr.coeffs), horizon)
         checks.append(_check(f"correction k={k} BP-to-{horizon}",
                              diff.is_bloch_polya()))
-    for k in (5, 7, 8, 9, 10, 11, 12):
+    for k in uncorrectable:
         try:
             correction(k)
             checks.append(_check(f"correction k={k} none-exists", False,

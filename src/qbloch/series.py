@@ -9,7 +9,7 @@ of decimal digits are fine.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import sub
 
 from .errors import UsageError
@@ -185,7 +185,8 @@ class TruncSeries:
 
     def nonzero_items(self):
         """(exponent, coefficient) pairs for nonzero coefficients, ascending."""
-        return [(t, v) for t, v in enumerate(self.coeffs) if v]
+        coeffs = self.coeffs
+        return [(t, coeffs[t]) for t in compress(range(len(coeffs)), coeffs)]
 
     def __repr__(self) -> str:
         head = ", ".join(f"{v}*q^{t}" for t, v in self.nonzero_items()[:6])
@@ -207,10 +208,11 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
 
     (q^s;q)_inf is built as (q;q)_inf / (q;q)_(s-1): the pentagonal
     expansion followed by s-1 stride divisions, O(sN) work, unless
-    multiplying in the factors q^s..q^N directly costs less.  Every other
-    product carries its partial product only to its exact degree.  A
-    finite product of full degree D read past D//2 is computed to D//2 and
-    the rest is filled from its symmetry c_(D-t) = (-1)^L c_t.
+    multiplying in the factors q^s..q^N directly costs less.  (q;q)_m is
+    built from (q;q)_inf and its tail (_qq_horner).  Every other product
+    carries its partial product only to its exact degree.  A finite
+    product of full degree D read past D//2 is computed to D//2 and the
+    rest is filled from its symmetry c_(D-t) = (-1)^L c_t.
     """
     if start < 1:
         raise UsageError(f"start must be >= 1, got {start}")
@@ -231,9 +233,12 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
         L = 0 if start > N else (N - start) // step + 1
     full = L * start + step * L * (L - 1) // 2
     T = min(N, full // 2)
-    for coeffs in _carried_products(start, step, L, T):
-        pass
-    coeffs.extend([0] * (T + 1 - len(coeffs)))
+    if start == step == 1:
+        coeffs = _qq_horner(L, T)
+    else:
+        for coeffs in _carried_products(start, step, L, T):
+            pass
+        coeffs.extend([0] * (T + 1 - len(coeffs)))
     if N > T:
         top = min(N, full)
         mirrored = coeffs[full - top:full - T][::-1]
@@ -260,6 +265,41 @@ def _carried_products(start: int, step: int, L: int, T: int):
         coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
         _mul_one_minus(coeffs, d)
         yield coeffs
+
+
+def _qq_horner(m: int, T: int) -> list:
+    """(q;q)_m modulo q^(T+1), as a list of T + 1 coefficients, from
+
+        (q;q)_m = (q;q)_inf / (q^s;q)_inf,  s = m + 1.
+
+    1/(q^s;q)_inf = sum_k q^(ks) / (q;q)_k counts partitions into k parts
+    >= s, and only k <= K = T // s reach q^T.  With P = (q;q)_inf, in
+    Horner form
+
+        (q;q)_m = P + q^s/(1-q) (P + q^s/(1-q^2) (... (P + q^s/(1-q^K) P))).
+
+    The innermost P is needed below q^(T+1-Ks) only, and each step k = K..1
+    divides by (1 - q^k), shifts by q^s and adds the O(sqrt T) pentagonal
+    terms of P: one pass over T + 1 - (k-1)s coefficients, about K*T/2
+    updates in all.  pochhammer reads at most half the degree,
+    T <= m(m+1)/4, so K <= m/4; carrying the m factors costs about m*T/2.
+    """
+    from .pentagonal import pnt_series  # pentagonal imports this module
+    s = m + 1
+    K = T // s
+    pnt = pnt_series(T)
+    terms = pnt.nonzero_items()
+    coeffs = pnt.coeffs
+    del coeffs[T - K * s + 1:]
+    for k in range(K, 0, -1):
+        _div_one_minus(coeffs, k)
+        coeffs[:0] = [0] * s
+        top = len(coeffs) - 1
+        for e, c in terms:
+            if e > top:
+                break
+            coeffs[e] += c
+    return coeffs
 
 
 def _divided_infinite(start: int, N: int) -> TruncSeries:

@@ -154,6 +154,15 @@ def test_verify_corrections_honors_the_order_budget():
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_verify_identities_honors_the_order_budget():
+    # the suite's tail splits run at order 500; it exits 0 at budget 500
+    proc = run_cli("verify", "identities", "--budget-order", "100")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "dump.tsv"
     direct = run_cli("expand", "pnt", "40")
@@ -306,7 +315,7 @@ def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
 def _random_argv(rng, out_paths):
     """One argv over the CLI grammar; about one word in ten is invalid.
     Every argv carries both budget flags, at most 3000 and 40, which keep
-    each accepted command small."""
+    each accepted command small; each is negative about one time in four."""
     def pick(valid, invalid):
         return rng.choice(invalid if rng.random() < 0.1 else valid)
 
@@ -335,8 +344,9 @@ def _random_argv(rng, out_paths):
         argv += ["--format", pick(["tsv", "json"], ["xml"])]
     if rng.random() < 0.2:
         argv += ["--out", rng.choice(out_paths)]
-    argv += ["--budget-order", rng.choice(["-1", "0", "50", "500", "3000"]),
-             "--budget-enum", rng.choice(["-1", "0", "5", "40"])]
+    argv += ["--budget-order", rng.choice(["-1", "-3000", "0", "50", "500", "3000",
+                                           "3000", "3000"]),
+             "--budget-enum", rng.choice(["-1", "-40", "0", "5", "40", "40", "40", "40"])]
     return argv
 
 
@@ -347,14 +357,21 @@ def test_random_argv_keeps_the_exit_code_contract(capsys, tmp_path):
     seen = set()
     for _ in range(300):
         argv = _random_argv(rng, out_paths)
+        parsed = True
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             assert exc.code == 2, argv
-            code = 2
-        err = capsys.readouterr().err
+            code, parsed = 2, False
+        captured = capsys.readouterr()
+        err = captured.err
         assert code in (0, 1, 2, 3, 4), argv
         if code == 0:
             assert err == "", argv
+        if parsed and any(word.startswith("-") for word in argv[-3::2]):
+            # a negative budget is refused before any other check or work
+            assert code == 2, argv
+            assert err.startswith("usage error: --budget-"), argv
+            assert len(err.splitlines()) == 1 and captured.out == "", argv
         seen.add(code)
     assert {0, 2, 3} <= seen

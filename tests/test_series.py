@@ -5,7 +5,9 @@ import random
 import pytest
 
 from qbloch.errors import UsageError
-from qbloch.series import TruncSeries, pochhammer, qq_poly
+from qbloch import series
+from qbloch.cli import main
+from qbloch.series import TruncSeries, _carried_products, pochhammer, qq_poly
 
 
 def random_series(rng, order, density=0.5, bound=9):
@@ -210,3 +212,41 @@ def test_infinite_products_on_both_routes():
 def test_pochhammer_rejects_negative_order():
     with pytest.raises(UsageError):
         pochhammer(1, 1, 3, -1)
+
+
+def carried_pochhammer(m, N):
+    # the factor-by-factor route, carried to order N with no mirroring
+    for coeffs in _carried_products(1, 1, m, N):
+        pass
+    return coeffs + [0] * (N + 1 - len(coeffs))
+
+
+def test_q_factorial_against_naive_and_carried_routes():
+    # (q;q)_m is built from (q;q)_inf and its tail; both references
+    # multiply the m factors in, one with no degree tracking at all
+    for m in range(61):
+        D = m * (m + 1) // 2
+        for N in (0, 1, m, m + 1, 2 * m + 2, D // 2 - 1, D // 2, D // 2 + 1, D, D + 3):
+            if N < 0:
+                continue
+            got = pochhammer(1, 1, m, N)
+            assert got.order == N
+            assert got.coeffs == naive_pochhammer(1, 1, m, N), (m, N)
+            assert got.coeffs == carried_pochhammer(m, N), (m, N)
+
+
+def test_q_factorial_300_at_full_degree():
+    # the benchmark's `expand poch 300 45150`
+    assert pochhammer(1, 1, 300, 45150).coeffs == carried_pochhammer(300, 45150)
+
+
+def test_expand_poch_never_carries_the_factors(monkeypatch, capsys):
+    expected = TruncSeries(naive_pochhammer(1, 1, 150, 11325), 11325).nonzero_items()
+
+    def refuse(*_args):
+        raise AssertionError("the carried route was taken")
+
+    monkeypatch.setattr(series, "_carried_products", refuse)
+    assert main(["expand", "poch", "150", "11325"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(map(int, line.split("\t"))) for line in lines[1:]] == expected
