@@ -2,14 +2,16 @@
 
 S_h collects the m with max |coefficient of (q;q)_m| equal to h; every m past
 the cut-off (h+2)(6h+17) provably exceeds h, so a finite sweep settles each
-row.  The sweep is witness first: one exact coefficient above H in a short
-truncation of (q;q)_m rules m out, and only the m left over are expanded in
-full.  Shat_h does the same for F_k, scanned up to the sufficient bound
+row.  The sweep is witness first: one exact coefficient above H rules m out,
+and only the m left over are expanded in full.  It reads the coefficients
+below q^(7(m+1)) at random from the tails (q^j;q)_inf, j <= 7, built once,
+since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf.  Shat_h classifies F_k
+the same way by height, scanned up to the sufficient bound
 (k-1)(3k^3-3k^2+10k-8)/8.  Both sweeps run in one process and take no
 worker count; the CLI accepts one, validates it and ignores it.  The window
-checks certify the inequalities that make the S cut-offs work, and
-conjecture_scan reports (empirically, never as proof) on the observed shape
-of the S_h rows.
+checks certify the inequalities that make the S cut-offs work, reading
+their coefficients from tails the same way, and conjecture_scan reports
+(empirically, never as proof) on the observed shape of the S_h rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
 from .oracle import ENUM_LIMIT, ENUM_LIMIT_EDEN
-from .series import _carried_products, pochhammer
+from .series import _tail_coeffs, _tails, pochhammer
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,9 @@ class HTable:
     window cut-offs; kind 'Shat' classifies F_k with the scan horizon K
     standing in as every row's cutoff.  horizon is the last subject index
     the sweep examined.  For kind 'S', certificates[m] (m <= horizon) is the
-    exponent that settles m: |coefficient| > H there for a non-member, the
-    smallest exponent attaining the height for a member; kind 'Shat'
+    exponent that settles m: for a non-member, an exponent where
+    |coefficient| > H (an exact witness, not necessarily the smallest one);
+    for a member, the smallest exponent attaining its height.  Kind 'Shat'
     leaves it empty.  A table is a function of its limit alone: neither
     build_s_table nor build_shat_table takes a worker count."""
 
@@ -114,16 +117,43 @@ def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
 
+#: The S sweep reads (q;q)_m below q^(_WINDOWS*(m+1)) from the tails
+#: (q^j;q)_inf, j <= _WINDOWS, in the windows [js, (j+1)s) named here, the
+#: one holding the largest values first.  Window 0 holds the pentagonal
+#: coefficients, all in {-1, 0, 1}, and is never read; in window 1 they are
+#: e_t + a_(t-s), at most 2 in size, so it comes last and matters at H = 1.
+_WINDOWS = 7
+_WINDOW_ORDER = (3, 2, 4, 5, 6, 1)
+
+
+def _s_witness(tails: list, m: int, H: int):
+    """An exponent where (q;q)_m has a coefficient outside [-H, H], read
+    exactly from the tails, or None if none turned up below q^(7(m+1))."""
+    s = m + 1
+    # near 4s the coefficient grows like m/8: one sum of four terms settles
+    # most large m
+    probe = 4 * s - 1
+    if not -H <= _tail_coeffs(tails, s, probe, probe + 1)[0] <= H:
+        return probe
+    for j in _WINDOW_ORDER:
+        window = _tail_coeffs(tails, s, j * s, (j + 1) * s)
+        if max(window) > H or min(window) < -H:
+            return j * s + next(i for i, c in enumerate(window) if not -H <= c <= H)
+    return None
+
+
 def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     """All rows S_1 .. S_H, each with its cut-off, by sweeping m up to
     s_cutoff(H).
 
-    Witness first: (q;q)_m is carried across m modulo q^(T+1),
-    T = 4*s_cutoff(H).  Truncation leaves every kept coefficient exact, so
-    the smallest t there with |coefficient| > H settles m as a non-member.
-    Only the other m (in practice the members) are classified in full by
-    poch_class.  certificates[m] is the exponent that settles m: the
-    truncated witness, or poch_class's witness.
+    Witness first: with s = m + 1, (q;q)_m = sum_k q^(ks) (q^(k+1);q)_inf,
+    so below q^(7s) each coefficient is a sum of at most 7 entries of the
+    tails (q^j;q)_inf, j <= 7, built once for the whole sweep.  Every such
+    coefficient is exact, so one of them outside [-H, H] settles m as a
+    non-member: the sweep probes q^(4s-1), then sums whole windows of s
+    coefficients.  Only the other m (in practice the members) are
+    classified in full by poch_class.  certificates[m] is the exponent that
+    settles m: the witness found in the tails, or poch_class's witness.
     """
     if H < 1:
         raise UsageError(f"H must be >= 1, got {H}")
@@ -131,15 +161,15 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     budget.require_order(horizon * (horizon + 1) // 2, f"build_s_table({H})")
     rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
     certificates = []
-    for m, coeffs in enumerate(_carried_products(1, 1, horizon, 4 * horizon)):
-        if max(coeffs) > H or min(coeffs) < -H:
-            certificates.append(next(t for t, c in enumerate(coeffs)
-                                     if not -H <= c <= H))
-            continue
-        record = poch_class(m, budget)
-        if record.h <= H:
-            rows[record.h][0].append(m)
-        certificates.append(record.witness)
+    tails = _tails([(_WINDOWS - j) * (horizon + 1) for j in range(_WINDOWS)])
+    for m in range(horizon + 1):
+        witness = _s_witness(tails, m, H)
+        if witness is None:
+            record = poch_class(m, budget)
+            if record.h <= H:
+                rows[record.h][0].append(m)
+            witness = record.witness
+        certificates.append(witness)
     rows = {h: (tuple(members), cutoff) for h, (members, cutoff) in rows.items()}
     return HTable(kind='S', rows=rows, horizon=horizon,
                   certificates=tuple(certificates))
@@ -184,9 +214,11 @@ def _window(m: int):
 
 
 def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list:
-    """The WindowRecord of each m in first..last, in order, read from one
-    (q;q)_(m-1) carried across the range.  Its degree m(m-1)/2 exceeds
-    every window exponent once m >= 22, so the carried list reaches each.
+    """The WindowRecord of each m in first..last, in order.  Each window
+    coefficient is read from the tails (q^j;q)_inf, built once to the top
+    exponent: the coefficient of q^e in (q;q)_(m-1) is the sum over j <= e/m
+    of the coefficient of q^(e-jm) in (q^(j+1);q)_inf, at most 6 terms for
+    m >= 22.
 
     For m > 69 the coefficient of q^(2m+69) in (q;q)_{m-1} sits in [2,6]; for
     22 <= m <= 69 except 42 it sits in [2,12]; m = 42 is handled by the
@@ -195,15 +227,17 @@ def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list
     if first < 22:
         raise UsageError(f"window inequalities start at m=22, got {first}")
     windows = {m: _window(m) for m in range(first, last + 1)}
-    top = max((exponent for exponent, _lo, _hi in windows.values()), default=0)
+    if not windows:
+        return []
+    top = max(exponent for exponent, _lo, _hi in windows.values())
     budget.require_order(top, f"window_sweep({first}, {last})")
+    depth = max(exponent // m for m, (exponent, _lo, _hi) in windows.items()) + 1
+    tails = _tails([top + 1] * depth)
     records = []
-    for m, coeffs in enumerate(_carried_products(1, 1, last - 1, top), start=1):
-        if m in windows:
-            exponent, lo, hi = windows[m]
-            value = coeffs[exponent]
-            records.append(WindowRecord(m=m, exponent=exponent, value=value,
-                                        lo=lo, hi=hi, ok=lo <= value <= hi))
+    for m, (exponent, lo, hi) in windows.items():
+        value = _tail_coeffs(tails, m, exponent, exponent + 1)[0]
+        records.append(WindowRecord(m=m, exponent=exponent, value=value,
+                                    lo=lo, hi=hi, ok=lo <= value <= hi))
     return records
 
 

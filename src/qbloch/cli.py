@@ -228,45 +228,47 @@ def _suite_identities(budget) -> list:
 
 
 def _suite_oracle(budget) -> list:
+    # fixed sizes: a smaller budget is refused before any work, never shrinks
+    # a check under its name
+    budget.require_order(300, "verify oracle")
+    for need, cap, what in ((36, budget.max_enum, "enumeration"),
+                            (40, budget.max_enum_eden, "Eden enumeration")):
+        if need > cap:
+            raise BudgetError(f"verify oracle needs {what} to n={need} > budget {cap}")
     checks = []
     limit = budget.max_enum
-    n_small = min(36, limit)
     ok = True
     for mp in (1, 2, 3):
-        table = signed_distinct_table(n_small, mp)
+        table = signed_distinct_table(36, mp)
         ok = ok and all(signed_distinct_sum(n, mp, limit) == table[n]
-                        for n in range(n_small + 1))
-    checks.append(_check(f"signed-enum-vs-table n<={n_small}", ok))
+                        for n in range(37))
+    checks.append(_check("signed-enum-vs-table n<=36", ok))
 
-    horizon = min(300, budget.max_order)
-    ok = (signed_distinct_table(horizon, 1) == pnt_series(horizon).coeffs
-          and signed_distinct_table(horizon, 2) == pochhammer(2, 1, None, horizon).coeffs
-          and signed_distinct_table(horizon, 3) == pochhammer(3, 1, None, horizon).coeffs)
-    checks.append(_check(f"signed-table-vs-products n<={horizon}", ok))
+    ok = (signed_distinct_table(300, 1) == pnt_series(300).coeffs
+          and signed_distinct_table(300, 2) == pochhammer(2, 1, None, 300).coeffs
+          and signed_distinct_table(300, 3) == pochhammer(3, 1, None, 300).coeffs)
+    checks.append(_check("signed-table-vs-products n<=300", ok))
 
-    n_eden = min(40, budget.max_enum_eden)
     ok = eden_count(2, 2, 2, budget.max_enum_eden) == 1
     for k in (1, 2, 3):
-        ref = eden_series(k, n_eden)
+        ref = eden_series(k, 40)
         ok = ok and all(eden_signed_sum(k, n, budget.max_enum_eden) == ref.coeff(n)
-                        for n in range(1, n_eden + 1))
-    checks.append(_check(f"eden-signed-vs-series k<=3 n<={n_eden}", ok))
+                        for n in range(1, 41))
+    checks.append(_check("eden-signed-vs-series k<=3 n<=40", ok))
 
     ok = True
     for k in (1, 2, 3):
         for M in (0, 2, 5):
             l_max = k * M + 1
-            N = min(30, limit)
-            rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
+            rhs = TruncSeries.one(30) - pochhammer(1, k, M + 1, 30)
             ok = ok and all(one_mod_k_signed_sum(k, n, l_max, limit) == rhs.coeff(n)
-                            for n in range(N + 1))
+                            for n in range(31))
     checks.append(_check("one-mod-k-enum-vs-poly k<=3 M<=5", ok))
 
-    n_cnt = min(30, limit)
-    counts = count_distinct_table(n_cnt)
+    counts = count_distinct_table(30)
     ok = all(sum(1 for _ in distinct_partitions(n)) == counts[n]
-             for n in range(n_cnt + 1))
-    checks.append(_check(f"enumeration-exhaustive n<={n_cnt}", ok))
+             for n in range(31))
+    checks.append(_check("enumeration-exhaustive n<=30", ok))
     return checks
 
 

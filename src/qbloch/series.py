@@ -10,7 +10,7 @@ of decimal digits are fine.
 from __future__ import annotations
 
 from itertools import accumulate, compress
-from operator import sub
+from operator import add, sub
 
 from .errors import UsageError
 
@@ -300,6 +300,42 @@ def _qq_horner(m: int, T: int) -> list:
                 break
             coeffs[e] += c
     return coeffs
+
+
+def _tails(lengths) -> list:
+    """The tails E_(j+1) = (q^(j+1);q)_inf, j < len(lengths), E_(j+1) as its
+    first lengths[j] coefficients; lengths must not increase.
+
+    E_1 is the pentagonal series and E_(j+1) = E_j / (1 - q^j), one stride
+    division of a copy cut to the next length.  They give random access to
+    (q;q)_m through
+
+        (q;q)_m = (q;q)_inf * sum_k q^(ks) / (q;q)_k = sum_k q^(ks) E_(k+1),
+
+    with s = m + 1: see _tail_coeffs.
+    """
+    from .pentagonal import pnt_series  # pentagonal imports this module
+    tails = [pnt_series(lengths[0] - 1).coeffs]
+    for j in range(1, len(lengths)):
+        coeffs = tails[-1][:lengths[j]]
+        _div_one_minus(coeffs, j)
+        tails.append(coeffs)
+    return tails
+
+
+def _tail_coeffs(tails: list, s: int, lo: int, hi: int) -> list:
+    """The coefficients of q^lo .. q^(hi-1) in (q;q)_(s-1), exactly, from
+    _tails; lo and hi - 1 lie in one window [js, (j+1)s) with j < len(tails).
+
+    There the coefficient of q^t is sum_(i <= j) E_(i+1)[t - is], so the
+    window costs j + 1 slices and j additions of hi - lo terms each;
+    E_(i+1) is read below (j - i + 1)s.
+    """
+    j = lo // s
+    out = tails[0][lo:hi]
+    for i in range(1, j + 1):
+        out = list(map(add, out, tails[i][lo - i * s:hi - i * s]))
+    return out
 
 
 def _divided_infinite(start: int, N: int) -> TruncSeries:

@@ -4,6 +4,7 @@ import concurrent.futures
 
 import pytest
 
+from qbloch import classify, series
 from qbloch.classify import (Budget, ClassRecord, build_s_table,
                              build_shat_table, conjecture_scan, eden_class,
                              poch_class, s_cutoff, shat_bound, window_check,
@@ -11,7 +12,7 @@ from qbloch.classify import (Budget, ClassRecord, build_s_table,
 from qbloch.cli import main
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
-from qbloch.series import pochhammer
+from qbloch.series import _carried_products, pochhammer
 
 TABLE_S = {1: ((0, 1, 2, 3, 5), 69),
            2: ((4, 6, 7, 8, 9, 11), 116),
@@ -208,7 +209,7 @@ def test_s_sweep_heights_and_witnesses_match_poch_class():
 def test_s_table_certificates_are_exact_witnesses():
     # each certificate's coefficient, recomputed by its own pochhammer call,
     # exceeds H for a non-member and is the member's height otherwise
-    for H in range(1, 6):
+    for H in range(1, 9):
         table = build_s_table(H)
         assert len(table.certificates) == table.horizon + 1
         member_of = {m: h for h, (members, _c) in table.rows.items() for m in members}
@@ -228,3 +229,77 @@ def test_window_sweep_matches_direct_coefficients():
         assert r.ok == (r.lo <= r.value <= r.hi)
         assert window_detail(r.m) == r
     assert (records[42 - 22].exponent, records[42 - 22].value) == (51, 2)
+
+
+def carried_s_table(H, budget=Budget()):
+    """The witness-first sweep over one carried (q;q)_m truncated at four
+    times the horizon: rows, and every member's certificate."""
+    horizon = s_cutoff(H)
+    rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
+    member_witness = {}
+    for m, coeffs in enumerate(_carried_products(1, 1, horizon, 4 * horizon)):
+        if max(coeffs) > H or min(coeffs) < -H:
+            continue
+        record = poch_class(m, budget)
+        if record.h <= H:
+            rows[record.h][0].append(m)
+            member_witness[m] = record.witness
+    return {h: (tuple(ms), c) for h, (ms, c) in rows.items()}, member_witness
+
+
+@pytest.mark.parametrize("H, budget", [(H, Budget()) for H in range(1, 9)]
+                         + [(12, Budget(max_order=10 ** 6))])
+def test_s_table_matches_the_carried_sweep(H, budget):
+    table = build_s_table(H, budget)
+    rows, member_witness = carried_s_table(H, budget)
+    assert table.rows == rows
+    assert table.horizon == s_cutoff(H)
+    for m, witness in member_witness.items():
+        assert table.certificates[m] == witness, (H, m)
+
+
+def test_s_sweep_expands_exactly_the_members(monkeypatch):
+    # every non-member is settled from the tails; the full expansion of
+    # poch_class is paid once per member and never for anything else
+    calls = []
+
+    def counted(m, budget=Budget()):
+        calls.append(m)
+        return poch_class(m, budget)
+
+    monkeypatch.setattr(classify, "poch_class", counted)
+    for H in range(1, 9):
+        calls.clear()
+        table = build_s_table(H)
+        members = sorted(m for ms, _c in table.rows.values() for m in ms)
+        assert calls == members, H
+
+
+def test_sweeps_never_carry_the_factors(monkeypatch, capsys):
+    def refuse(*_args):
+        raise AssertionError("the carried route was taken")
+
+    monkeypatch.setattr(series, "_carried_products", refuse)
+    expected = {
+        ("table", "S", "6"): (
+            "# table S 6 1.0.0\n1\t0,1,2,3,5\t69\n2\t4,6,7,8,9,11\t116\n"
+            "3\t10,13,14\t175\n4\t12,15\t246\n5\t17\t329\n6\t16,18\t424\n"),
+        ("verify", "conjecture"): (
+            "# verify conjecture 1.0.0\n"
+            "scan-label EMPIRICAL\tpass\t\n"
+            "rows-singleton h>16\tpass\tvacuous: no counterexample, no evidence\n"
+            "members-increasing h>16\tpass\tvacuous: no counterexample, no evidence\n"
+            "union-consecutive h>5\tpass\t\n"
+            "union-through-8\tpass\t{0..21}\n"),
+        ("verify", "windows"): (
+            "# verify windows 1.0.0\n"
+            "window 22<=m<=69 in [2,12]\tpass\t\n"
+            "window m=42 value 2 at q^51\tpass\t\n"
+            "window 69<m<=200 in [2,6]\tpass\t\n"
+            "three-term-window 69<m<=200\tpass\t\n"),
+    }
+    for argv, out in expected.items():
+        assert main(list(argv)) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        assert captured.out == out, argv

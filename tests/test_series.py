@@ -7,7 +7,8 @@ import pytest
 from qbloch.errors import UsageError
 from qbloch import series
 from qbloch.cli import main
-from qbloch.series import TruncSeries, _carried_products, pochhammer, qq_poly
+from qbloch.series import (TruncSeries, _carried_products, _tail_coeffs, _tails,
+                           pochhammer, qq_poly)
 
 
 def random_series(rng, order, density=0.5, bound=9):
@@ -250,3 +251,19 @@ def test_expand_poch_never_carries_the_factors(monkeypatch, capsys):
     assert main(["expand", "poch", "150", "11325"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [tuple(map(int, line.split("\t"))) for line in lines[1:]] == expected
+
+
+def test_tails_read_every_q_factorial_below_seven_windows():
+    # (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf read from seven tails, a
+    # whole window or one coefficient at a time, against the factor-by-factor
+    # reference; the windows run past the degree, where every sum must be 0
+    top = 60
+    tails = _tails([(7 - j) * (top + 1) for j in range(7)])
+    for m in range(top + 1):
+        s = m + 1
+        ref = naive_pochhammer(1, 1, m, 7 * s - 1)
+        for j in range(7):
+            assert _tail_coeffs(tails, s, j * s, (j + 1) * s) == ref[j * s:(j + 1) * s], (m, j)
+        for t in range(min(7 * s, m * (m + 1) // 2 + 1)):
+            assert _tail_coeffs(tails, s, t, t + 1) == [ref[t]], (m, t)
+
