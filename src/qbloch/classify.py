@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
-from .oracle import ENUM_LIMIT, ENUM_LIMIT_EDEN
+from .oracle import ENUM_LIMIT
 from .series import _tail_coeffs, _tails, pochhammer
 
 
@@ -29,14 +29,13 @@ class Budget:
     """Hard resource limits; exceeding one raises BudgetError, never truncates.
 
     max_order caps any truncation order or full polynomial degree; max_digits
-    caps the decimal length of coefficient-query indices; max_enum and
-    max_enum_eden cap the brute-force enumeration weights.
+    caps the decimal length of coefficient-query indices; max_enum caps the
+    weight n of every brute-force enumeration, the Eden counts included.
     """
 
     max_order: int = 250_000
     max_digits: int = 10_000
     max_enum: int = ENUM_LIMIT
-    max_enum_eden: int = ENUM_LIMIT_EDEN
 
     def require_order(self, order: int, what: str) -> None:
         """Raise BudgetError if `what` needs a truncation order or full
@@ -154,14 +153,18 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     coefficients.  Only the other m (in practice the members) are
     classified in full by poch_class.  certificates[m] is the exponent that
     settles m: the witness found in the tails, or poch_class's witness.
+
+    The budget is asked for the order the sweep expands, the tails' top
+    exponent 7(s_cutoff(H) + 1) - 1; each full classification is gated
+    again by poch_class.
     """
     if H < 1:
         raise UsageError(f"H must be >= 1, got {H}")
     horizon = s_cutoff(H)
-    budget.require_order(horizon * (horizon + 1) // 2, f"build_s_table({H})")
+    budget.require_order(_WINDOWS * (horizon + 1) - 1, f"build_s_table({H})")
     rows = {h: ([], s_cutoff(h)) for h in range(1, H + 1)}
     certificates = []
-    tails = _tails([(_WINDOWS - j) * (horizon + 1) for j in range(_WINDOWS)])
+    tails = list(_tails([(_WINDOWS - j) * (horizon + 1) for j in range(_WINDOWS)]))
     for m in range(horizon + 1):
         witness = _s_witness(tails, m, H)
         if witness is None:
@@ -232,7 +235,7 @@ def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list
     top = max(exponent for exponent, _lo, _hi in windows.values())
     budget.require_order(top, f"window_sweep({first}, {last})")
     depth = max(exponent // m for m, (exponent, _lo, _hi) in windows.items()) + 1
-    tails = _tails([top + 1] * depth)
+    tails = list(_tails([top + 1] * depth))
     records = []
     for m, (exponent, lo, hi) in windows.items():
         value = _tail_coeffs(tails, m, exponent, exponent + 1)[0]

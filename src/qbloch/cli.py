@@ -85,14 +85,10 @@ def _make_budget(args) -> Budget:
         if value is not None and value < 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
     base = Budget()
-    enum = args.budget_enum if args.budget_enum is not None else base.max_enum
-    enum_eden = (args.budget_enum if args.budget_enum is not None
-                 else base.max_enum_eden)
     return Budget(
         max_order=args.budget_order if args.budget_order is not None else base.max_order,
         max_digits=base.max_digits,
-        max_enum=enum,
-        max_enum_eden=enum_eden)
+        max_enum=args.budget_enum if args.budget_enum is not None else base.max_enum)
 
 
 def _emit(args, header_args, data, rows, out_stream) -> None:
@@ -156,7 +152,8 @@ def _cmd_expand(args, budget, out_stream) -> int:
     data = None
     if args.format == "json":
         data = {"order": order, "coefficients": [[e, c] for e, c in pairs]}
-    return _finish(args, header, data, pairs, out_stream)
+    _emit(args, header, data, pairs, out_stream)
+    return 0
 
 
 def _cmd_coeff(args, budget, out_stream) -> int:
@@ -184,7 +181,8 @@ def _cmd_coeff(args, budget, out_stream) -> int:
                       "upper_closed": block.upper_closed}}
     rows = [(answer.value, answer.case_tag, block.n, block.family,
              block.lower, block.upper)]
-    return _finish(args, [args.which, args.index], data, rows, out_stream)
+    _emit(args, [args.which, args.index], data, rows, out_stream)
+    return 0
 
 
 def _cmd_table(args, budget, out_stream) -> int:
@@ -199,7 +197,8 @@ def _cmd_table(args, budget, out_stream) -> int:
     data = {"kind": table.kind, "horizon": table.horizon,
             "rows": [{"h": h, "members": list(members), "cutoff": cutoff}
                      for h, (members, cutoff) in sorted(table.rows.items())]}
-    return _finish(args, [args.kind, args.limit], data, rows, out_stream)
+    _emit(args, [args.kind, args.limit], data, rows, out_stream)
+    return 0
 
 
 def _check(name, ok, detail="") -> tuple:
@@ -228,15 +227,14 @@ def _suite_identities(budget) -> list:
 
 
 def _suite_oracle(budget) -> list:
-    # fixed sizes: a smaller budget is refused before any work, never shrinks
-    # a check under its name
+    # fixed sizes, order 300 and enumerations to n = 40 (the Eden sums): a
+    # smaller budget is refused before any work, never shrinks a check under
+    # its name
     budget.require_order(300, "verify oracle")
-    for need, cap, what in ((36, budget.max_enum, "enumeration"),
-                            (40, budget.max_enum_eden, "Eden enumeration")):
-        if need > cap:
-            raise BudgetError(f"verify oracle needs {what} to n={need} > budget {cap}")
-    checks = []
     limit = budget.max_enum
+    if 40 > limit:
+        raise BudgetError(f"verify oracle needs enumeration to n=40 > budget {limit}")
+    checks = []
     ok = True
     for mp in (1, 2, 3):
         table = signed_distinct_table(36, mp)
@@ -249,10 +247,10 @@ def _suite_oracle(budget) -> list:
           and signed_distinct_table(300, 3) == pochhammer(3, 1, None, 300).coeffs)
     checks.append(_check("signed-table-vs-products n<=300", ok))
 
-    ok = eden_count(2, 2, 2, budget.max_enum_eden) == 1
+    ok = eden_count(2, 2, 2, limit) == 1
     for k in (1, 2, 3):
         ref = eden_series(k, 40)
-        ok = ok and all(eden_signed_sum(k, n, budget.max_enum_eden) == ref.coeff(n)
+        ok = ok and all(eden_signed_sum(k, n, limit) == ref.coeff(n)
                         for n in range(1, 41))
     checks.append(_check("eden-signed-vs-series k<=3 n<=40", ok))
 
@@ -346,11 +344,6 @@ def _cmd_verify(args, budget, out_stream) -> int:
             for name, result, detail in checks]
     _emit(args, [args.suite], data, checks, out_stream)
     return 0 if all(result == "pass" for _name, result, _d in checks) else 1
-
-
-def _finish(args, header_args, data, rows, out_stream) -> int:
-    _emit(args, header_args, data, rows, out_stream)
-    return 0
 
 
 class _OutFile:

@@ -14,8 +14,7 @@ from operator import add, sub
 
 from .errors import UsageError
 from .pentagonal import p1, p2, pnt_series
-from .series import (TruncSeries, _mul_binomial, _mul_one_minus, pochhammer,
-                     qq_poly)
+from .series import TruncSeries, _mul_one_minus, pochhammer, qq_poly
 
 
 class NoCorrectionError(Exception):
@@ -51,18 +50,20 @@ def F_direct(k: int, M, N: int) -> TruncSeries:
 def _partial_sums(k: int, M, N: int) -> list:
     """Coefficients of sum_{j <= M, kj <= N} q^(kj) (q;q)_j up to q^N.
 
-    (q;q)_j is carried incrementally across j, one binomial multiply per
-    step, so the work is about 2N per term and N//k + 1 terms.
+    (q;q)_j is carried in one list across j.  Step j cuts it to the
+    N + 1 - kj coefficients still read, multiplies it by (1 - q^j) in
+    place and adds it into the sum from q^(kj) on: about 2(N - kj)
+    updates for each of the N//k + 1 terms.
     """
     out = [0] * (N + 1)
     prod = [1] + [0] * N
     j = 0
     while k * j <= N and (M is None or j <= M):
-        if j > 0:
-            prod = _mul_binomial(prod, j, -1)
         base = k * j
-        for t in range(base, N + 1):
-            out[t] += prod[t - base]
+        del prod[N + 1 - base:]
+        if j > 0:
+            _mul_one_minus(prod, j)
+        out[base:] = map(add, out[base:], prod)
         j += 1
     return out
 
@@ -100,11 +101,11 @@ def one_mod_k_identity_check(k: int, M: int) -> bool:
     lhs = [0] * (N + 1)
     prod = [1] + [0] * N
     for j in range(M + 1):
-        if j > 0:
-            prod = _mul_binomial(prod, 1 + (j - 1) * k, -1)
         base = k * j + 1
-        for t in range(base, N + 1):
-            lhs[t] += prod[t - base]
+        del prod[N + 1 - base:]
+        if j > 0:
+            _mul_one_minus(prod, 1 + (j - 1) * k)
+        lhs[base:] = map(add, lhs[base:], prod)
     rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
     return TruncSeries(lhs, N) == rhs
 

@@ -10,8 +10,6 @@ a hard enumeration limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetError, UsageError
 
 #: Default caps. Distinct-part partitions of 300 number around 10^11; the
@@ -19,33 +17,6 @@ from .errors import BudgetError, UsageError
 #: caps bound what the oracle will attempt at all.
 ENUM_LIMIT = 300
 ENUM_LIMIT_EDEN = 100
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition with its cached statistics: nu parts, smallest part s,
-    largest part l, weight the sum.  The empty partition (the unique
-    partition of zero) has nu = s = l = weight = 0."""
-
-    parts: tuple
-    nu: int
-    s: int
-    l: int
-    weight: int
-
-    @classmethod
-    def of(cls, parts, distinct: bool = False) -> "Partition":
-        parts = tuple(parts)
-        if any(p < 1 for p in parts):
-            raise UsageError(f"parts must be positive, got {parts}")
-        for x, y in zip(parts, parts[1:]):
-            if x < y or (distinct and x == y):
-                raise UsageError(f"parts must be non-increasing"
-                                 f"{' and distinct' if distinct else ''}, got {parts}")
-        return cls(parts=parts, nu=len(parts),
-                   s=parts[-1] if parts else 0,
-                   l=parts[0] if parts else 0,
-                   weight=sum(parts))
 
 
 def distinct_partitions(n: int, min_part: int = 1):

@@ -15,15 +15,6 @@ from operator import add, sub
 from .errors import UsageError
 
 
-def _mul_binomial(coeffs: list, d: int, c: int) -> list:
-    """Return coeffs * (1 + c*q^d), truncated to the same length.
-
-    Single pass; the zip stops at the shorter operand, which is exactly
-    the truncation.
-    """
-    return coeffs[:d] + [a + c * b for a, b in zip(coeffs[d:], coeffs)]
-
-
 #: Coefficients rewritten per slice assignment in _mul_one_minus.
 _BLOCK = 4096
 
@@ -127,7 +118,10 @@ class TruncSeries:
         """Multiply by (1 + c*q^d) in one pass.  Requires d >= 1."""
         if d < 1:
             raise UsageError(f"binomial exponent must be >= 1, got {d}")
-        return TruncSeries(_mul_binomial(self.coeffs, d, c), self.order)
+        coeffs = self.coeffs
+        # the zip stops at the shorter operand, which is exactly the truncation
+        return TruncSeries(coeffs[:d] + [a + c * b for a, b in zip(coeffs[d:], coeffs)],
+                           self.order)
 
     def div_binomial(self, d: int) -> "TruncSeries":
         """Divide by (1 - q^d); always well defined on truncated series."""
@@ -206,13 +200,14 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
     q-factorial with m factors; pochhammer(k, 1, None, N) is the infinite
     product starting at q^k.
 
-    (q^s;q)_inf is built as (q;q)_inf / (q;q)_(s-1): the pentagonal
-    expansion followed by s-1 stride divisions, O(sN) work, unless
-    multiplying in the factors q^s..q^N directly costs less.  (q;q)_m is
-    built from (q;q)_inf and its tail (_qq_horner).  Every other product
-    carries its partial product only to its exact degree.  A finite
-    product of full degree D read past D//2 is computed to D//2 and the
-    rest is filled from its symmetry c_(D-t) = (-1)^L c_t.
+    (q^s;q)_inf is built as (q;q)_inf / (q;q)_(s-1), the last of the
+    tails _tails yields: the pentagonal expansion followed by s-1 stride
+    divisions, O(sN) work, unless multiplying in the factors q^s..q^N
+    directly costs less.  (q;q)_m is built from (q;q)_inf and its tail
+    (_qq_horner).  Every other product carries its partial product only to
+    its exact degree.  A finite product of full degree D read past D//2 is
+    computed to D//2 and the rest is filled from its symmetry
+    c_(D-t) = (-1)^L c_t.
     """
     if start < 1:
         raise UsageError(f"start must be >= 1, got {start}")
@@ -227,7 +222,9 @@ def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
             divisions = min(start - 1, N)
             direct = max(0, N - start + 1)
             if divisions * (N + 1) <= direct * (direct + 1) // 2:
-                return _divided_infinite(start, N)
+                for coeffs in _tails([N + 1] * (divisions + 1)):
+                    pass
+                return TruncSeries(coeffs, N)
         # the finite product of the factors up to q^N agrees with the
         # infinite one below q^(N+1)
         L = 0 if start > N else (N - start) // step + 1
@@ -302,25 +299,27 @@ def _qq_horner(m: int, T: int) -> list:
     return coeffs
 
 
-def _tails(lengths) -> list:
-    """The tails E_(j+1) = (q^(j+1);q)_inf, j < len(lengths), E_(j+1) as its
-    first lengths[j] coefficients; lengths must not increase.
+def _tails(lengths):
+    """Yield the tails E_(j+1) = (q^(j+1);q)_inf for j < len(lengths), in
+    order, E_(j+1) as a fresh list of its first lengths[j] coefficients;
+    lengths must not increase.
 
-    E_1 is the pentagonal series and E_(j+1) = E_j / (1 - q^j), one stride
-    division of a copy cut to the next length.  They give random access to
-    (q;q)_m through
+    E_1 is the pentagonal series (q;q)_inf and E_(j+1) = E_j / (1 - q^j),
+    one stride division of a copy cut to the next length, so the last tail
+    is (q;q)_inf / (q;q)_j.  Together they give random access to (q;q)_m
+    through
 
         (q;q)_m = (q;q)_inf * sum_k q^(ks) / (q;q)_k = sum_k q^(ks) E_(k+1),
 
-    with s = m + 1: see _tail_coeffs.
+    with s = m + 1: see _tail_coeffs, which reads list(_tails(...)).
     """
     from .pentagonal import pnt_series  # pentagonal imports this module
-    tails = [pnt_series(lengths[0] - 1).coeffs]
+    coeffs = pnt_series(lengths[0] - 1).coeffs
+    yield coeffs
     for j in range(1, len(lengths)):
-        coeffs = tails[-1][:lengths[j]]
+        coeffs = coeffs[:lengths[j]]
         _div_one_minus(coeffs, j)
-        tails.append(coeffs)
-    return tails
+        yield coeffs
 
 
 def _tail_coeffs(tails: list, s: int, lo: int, hi: int) -> list:
@@ -338,17 +337,8 @@ def _tail_coeffs(tails: list, s: int, lo: int, hi: int) -> list:
     return out
 
 
-def _divided_infinite(start: int, N: int) -> TruncSeries:
-    """(q^start;q)_inf modulo q^(N+1) as (q;q)_inf / (q;q)_(start-1)."""
-    from .pentagonal import pnt_series  # pentagonal imports this module
-    coeffs = pnt_series(N).coeffs
-    for d in range(1, min(start, N + 1)):
-        _div_one_minus(coeffs, d)
-    return TruncSeries(coeffs, N)
-
-
 def qq_poly(m: int) -> TruncSeries:
     """The full polynomial (q;q)_m, at its exact degree m(m+1)/2."""
     if m < 0:
         raise UsageError(f"m must be >= 0, got {m}")
-    return pochhammer(1, 1, m, m * (m + 1) // 2) if m else TruncSeries([1], 0)
+    return pochhammer(1, 1, m, m * (m + 1) // 2)

@@ -145,6 +145,27 @@ def test_budget_gates():
     assert poch_class(40, budget=tight).h == 196  # fits: bound 820 <= 1000
 
 
+def test_s_table_gate_is_the_order_it_expands(monkeypatch, capsys):
+    # the sweep expands the tails to 7(s_cutoff(H) + 1) - 1: 245258 at
+    # H = 74, the largest the default budget admits, and 251719 at H = 75,
+    # refused before any tail is built
+    class Built(Exception):
+        pass
+
+    def refuse(*_args):
+        raise Built
+
+    monkeypatch.setattr(classify, "_tails", refuse)
+    with pytest.raises(Built):
+        build_s_table(74)
+    assert main(["table", "S", "75"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: build_s_table(75) needs "
+                                   "expansion order 251719 > budget 250000")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_conjecture_scan_h8():
     report = conjecture_scan(8)
     assert report.label == "EMPIRICAL"
@@ -248,7 +269,7 @@ def carried_s_table(H, budget=Budget()):
 
 
 @pytest.mark.parametrize("H, budget", [(H, Budget()) for H in range(1, 9)]
-                         + [(12, Budget(max_order=10 ** 6))])
+                         + [(12, Budget()), (9, Budget())])
 def test_s_table_matches_the_carried_sweep(H, budget):
     table = build_s_table(H, budget)
     rows, member_witness = carried_s_table(H, budget)

@@ -163,10 +163,12 @@ def test_verify_identities_honors_the_order_budget():
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flags", [("--budget-order", "0"), ("--budget-enum", "3")])
+@pytest.mark.parametrize("flags", [("--budget-order", "0"), ("--budget-enum", "3"),
+                                   ("--budget-enum", "38")])
 def test_verify_oracle_refuses_a_small_budget(flags):
-    # the suite's checks run at order 300 and enumerate to n = 36 (40 for the
-    # Eden counts); a smaller budget is refused, the checks never shrink
+    # the suite's checks run at order 300 and enumerate to n = 40 (the Eden
+    # counts, under the one enumeration cap); a smaller budget is refused,
+    # the checks never shrink
     proc = run_cli("verify", "oracle", *flags)
     assert proc.returncode == 3
     assert proc.stdout == ""

@@ -1,5 +1,7 @@
 """The F_k family: direct sums, recurrences, tail splits, corrections."""
 
+import functools
+
 import pytest
 
 from qbloch import fseries
@@ -36,6 +38,35 @@ def test_direct_respects_M():
     full = F_direct(2, None, 30)
     assert F_direct(2, 15, 30) == full  # j > 15 contributes beyond order 30
     assert F_direct(2, 3, 30) != full
+
+
+@functools.lru_cache(maxsize=None)
+def naive_q_factorial(j, N):
+    # independent reference: (q;q)_j modulo q^(N+1), one full-length pass per
+    # factor, no trimming and no degree tracking
+    coeffs = [1] + [0] * N
+    for d in range(1, min(j, N) + 1):
+        for t in range(N, d - 1, -1):
+            coeffs[t] -= coeffs[t - d]
+    return tuple(coeffs)
+
+
+def test_direct_against_a_sum_of_naive_products():
+    # F_{k,M} = sum_{j <= M} q^(kj) (q;q)_j with every term built on its own,
+    # at orders below, at and past k and at every cut M
+    for k in range(1, 7):
+        for M in (None, 0, 1, 3, 7):
+            for N in (0, k - 1, k, 40, 120):
+                ref = [0] * (N + 1)
+                j = 0
+                while k * j <= N and (M is None or j <= M):
+                    prod = naive_q_factorial(j, N)
+                    for t in range(k * j, N + 1):
+                        ref[t] += prod[t - k * j]
+                    j += 1
+                got = F_direct(k, M, N)
+                assert got.order == N
+                assert got.coeffs == ref, (k, M, N)
 
 
 def test_recurrence_small_grid():

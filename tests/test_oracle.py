@@ -5,24 +5,11 @@ import pytest
 from qbloch.closed_form import a_coeff, b_coeff
 from qbloch.errors import BudgetError, UsageError
 from qbloch.fseries import eden_series
-from qbloch.oracle import (Partition, count_distinct_table, distinct_partitions,
-                           eden_count, eden_signed_sum, one_mod_k_signed_sum,
+from qbloch.oracle import (count_distinct_table, distinct_partitions, eden_count,
+                           eden_signed_sum, one_mod_k_signed_sum,
                            signed_distinct_sum, signed_distinct_table)
 from qbloch.pentagonal import pnt_series
 from qbloch.series import TruncSeries, pochhammer
-
-
-def test_partition_record():
-    p = Partition.of((5, 3, 3, 1))
-    assert (p.nu, p.s, p.l, p.weight) == (4, 1, 5, 12)
-    empty = Partition.of(())
-    assert (empty.nu, empty.s, empty.l, empty.weight) == (0, 0, 0, 0)
-    with pytest.raises(UsageError):
-        Partition.of((3, 5))
-    with pytest.raises(UsageError):
-        Partition.of((5, 3, 3), distinct=True)
-    with pytest.raises(UsageError):
-        Partition.of((2, 0))
 
 
 def test_distinct_partition_generator():
@@ -31,7 +18,8 @@ def test_distinct_partition_generator():
     assert list(distinct_partitions(0)) == [()]
     assert sorted(distinct_partitions(7, min_part=2)) == [(4, 3), (5, 2), (7,)]
     for parts in distinct_partitions(15):
-        Partition.of(parts, distinct=True)  # validates strict decrease
+        assert all(x > y for x, y in zip(parts, parts[1:])), parts
+        assert sum(parts) == 15 and all(p >= 1 for p in parts), parts
 
 
 def test_enumeration_is_exhaustive():

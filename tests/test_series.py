@@ -258,7 +258,7 @@ def test_tails_read_every_q_factorial_below_seven_windows():
     # whole window or one coefficient at a time, against the factor-by-factor
     # reference; the windows run past the degree, where every sum must be 0
     top = 60
-    tails = _tails([(7 - j) * (top + 1) for j in range(7)])
+    tails = list(_tails([(7 - j) * (top + 1) for j in range(7)]))
     for m in range(top + 1):
         s = m + 1
         ref = naive_pochhammer(1, 1, m, 7 * s - 1)
