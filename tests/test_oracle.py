@@ -2,6 +2,7 @@
 
 import pytest
 
+from qbloch import oracle
 from qbloch.closed_form import a_coeff, b_coeff
 from qbloch.errors import BudgetError, UsageError
 from qbloch.fseries import eden_series
@@ -23,9 +24,36 @@ def test_distinct_partition_generator():
 
 
 def test_enumeration_is_exhaustive():
-    counts = count_distinct_table(40)
-    for n in range(41):
-        assert sum(1 for _ in distinct_partitions(n)) == counts[n]
+    for mp in (1, 2, 3):
+        counts = count_distinct_table(40, mp)
+        for n in range(41):
+            assert sum(1 for _ in distinct_partitions(n, mp)) == counts[n], (n, mp)
+    # l_max 61 and 91: above n for small n, below it for large n, so the
+    # descent starts both at the remainder and at the cap
+    N, M = 120, 30
+    for k in (2, 3):
+        rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
+        for n in range(N + 1):
+            assert one_mod_k_signed_sum(k, n, k * M + 1) == rhs.coeff(n), (k, n)
+
+
+def test_pruned_descent_calls_per_partition(monkeypatch):
+    """A perf guard, not a timer: the shared descent makes at most a few
+    calls per partition it reaches (an unpruned descent makes 8 to 11)."""
+    calls = 0
+    descend = oracle._signed_parts
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return descend(*args)
+
+    monkeypatch.setattr(oracle, "_signed_parts", counted)
+    for n in (40, 60, 80):
+        for mp in (1, 2, 3):
+            calls = 0
+            assert signed_distinct_sum(n, mp) == signed_distinct_table(n, mp)[n]
+            assert calls <= 5 * count_distinct_table(n, mp)[n], (n, mp, calls)
 
 
 def test_small_signed_examples():
@@ -111,5 +139,13 @@ def test_argument_errors():
         signed_distinct_sum(5, 0)
     with pytest.raises(UsageError):
         eden_count(0, 5, 2)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="got k=2 n=5 l_max=0"):
         one_mod_k_signed_sum(2, 5, 0)
+    with pytest.raises(UsageError, match="got k=0 n=5 l_max=3"):
+        one_mod_k_signed_sum(0, 5, 3)
+    with pytest.raises(UsageError, match="min_part must be >= 1, got 0"):
+        count_distinct_table(5, 0)
+    with pytest.raises(UsageError, match="min_part must be >= 1, got 0"):
+        list(distinct_partitions(5, 0))
+    with pytest.raises(UsageError):
+        signed_distinct_table(5, 0)
