@@ -1,5 +1,8 @@
 """Command-line surface: expand, coeff, table, verify.
 
+The verify suites and their checks live in qbloch.verify; this module parses
+arguments, applies budgets and formats the results.
+
 Output is deterministic and machine-readable.  TSV starts with a header line
 "# <command> <args> <version>"; JSON is one object {"meta": ..., "data": ...}.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
@@ -17,18 +20,13 @@ import shutil
 import sys
 
 from . import __version__
-from .classify import (Budget, build_s_table, build_shat_table,
-                       conjecture_scan, eden_class, shat_bound, window_sweep)
+from .classify import Budget, build_s_table, build_shat_table
 from .closed_form import a_coeff, b_coeff
 from .errors import BudgetError, OutputError, UsageError
-from .fseries import (F_backsolve, F_direct, NoCorrectionError, correction,
-                      eden_series, f1_base_identity_check,
-                      one_mod_k_identity_check, recurrence_check, tail_split)
-from .oracle import (count_distinct_table, distinct_partitions, eden_count,
-                     eden_signed_sum, one_mod_k_signed_sum,
-                     signed_distinct_sum, signed_distinct_table)
+from .fseries import F_backsolve
 from .pentagonal import pnt_series
-from .series import TruncSeries, pochhammer
+from .series import pochhammer
+from .verify import SUITES
 
 _INDEX_RE = re.compile(r"[0-9]+")
 
@@ -74,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite; exit 1 on failure")
-    p_verify.add_argument("suite", choices=("identities", "oracle", "corrections",
-                                            "windows", "conjecture"))
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     return parser
 
 
@@ -201,149 +198,13 @@ def _cmd_table(args, budget, out_stream) -> int:
     return 0
 
 
-def _check(name, ok, detail="") -> tuple:
-    return (name, "pass" if ok else "fail", detail)
-
-
-def _suite_identities(budget) -> list:
-    # the largest order built below: the tail splits at 500 (the base
-    # identity at M = 30 reaches 496, the recurrences 143)
-    budget.require_order(500, "verify identities")
-    checks = []
-    ok = all(recurrence_check(k, M) for k in range(1, 5) for M in (1, 3, 7, 12))
-    checks.append(_check("finite-recurrence k<=4 M<=12", ok))
-    ok = all(one_mod_k_identity_check(k, M) for k in range(1, 5) for M in (0, 2, 5, 8))
-    checks.append(_check("one-mod-k-sum k<=4 M<=8", ok))
-    ok = all(f1_base_identity_check(M) for M in (0, 10, 30))
-    checks.append(_check("base-identity M<=30", ok))
-    ok = all(F_backsolve(k, 300) == F_direct(k, None, 300) for k in range(1, 7))
-    checks.append(_check("backsolve-vs-direct k<=6 N=300", ok))
-    ok = True
-    for k in range(2, 7):
-        split = tail_split(k, 500)
-        ok = ok and split.reconstruct(500) == F_direct(k, None, 500)
-    checks.append(_check("tail-split-reconstruct k<=6 N=500", ok))
-    return checks
-
-
-def _suite_oracle(budget) -> list:
-    # fixed sizes, order 300 and enumerations to n = 40 (the Eden sums): a
-    # smaller budget is refused before any work, never shrinks a check under
-    # its name
-    budget.require_order(300, "verify oracle")
-    limit = budget.max_enum
-    if 40 > limit:
-        raise BudgetError(f"verify oracle needs enumeration to n=40 > budget {limit}")
-    checks = []
-    ok = True
-    for mp in (1, 2, 3):
-        table = signed_distinct_table(36, mp)
-        ok = ok and all(signed_distinct_sum(n, mp, limit) == table[n]
-                        for n in range(37))
-    checks.append(_check("signed-enum-vs-table n<=36", ok))
-
-    ok = (signed_distinct_table(300, 1) == pnt_series(300).coeffs
-          and signed_distinct_table(300, 2) == pochhammer(2, 1, None, 300).coeffs
-          and signed_distinct_table(300, 3) == pochhammer(3, 1, None, 300).coeffs)
-    checks.append(_check("signed-table-vs-products n<=300", ok))
-
-    ok = eden_count(2, 2, 2, limit) == 1
-    for k in (1, 2, 3):
-        ref = eden_series(k, 40)
-        ok = ok and all(eden_signed_sum(k, n, limit) == ref.coeff(n)
-                        for n in range(1, 41))
-    checks.append(_check("eden-signed-vs-series k<=3 n<=40", ok))
-
-    ok = True
-    for k in (1, 2, 3):
-        for M in (0, 2, 5):
-            l_max = k * M + 1
-            rhs = TruncSeries.one(30) - pochhammer(1, k, M + 1, 30)
-            ok = ok and all(one_mod_k_signed_sum(k, n, l_max, limit) == rhs.coeff(n)
-                            for n in range(31))
-    checks.append(_check("one-mod-k-enum-vs-poly k<=3 M<=5", ok))
-
-    counts = count_distinct_table(30)
-    ok = all(sum(1 for _ in distinct_partitions(n)) == counts[n]
-             for n in range(31))
-    checks.append(_check("enumeration-exhaustive n<=30", ok))
-    return checks
-
-
-def _suite_corrections(budget) -> list:
-    corrected = {k: max(shat_bound(k), 500) for k in (1, 2, 3, 4, 6)}
-    uncorrectable = (5, 7, 8, 9, 10, 11, 12)
-    budget.require_order(max(*corrected.values(), *map(shat_bound, uncorrectable)),
-                         "verify corrections")
-    checks = []
-    for k, horizon in corrected.items():
-        corr = correction(k).poly
-        diff = F_direct(k, None, horizon) - TruncSeries(list(corr.coeffs), horizon)
-        checks.append(_check(f"correction k={k} BP-to-{horizon}",
-                             diff.is_bloch_polya()))
-    for k in uncorrectable:
-        try:
-            correction(k)
-            checks.append(_check(f"correction k={k} none-exists", False,
-                                 "a correction was returned"))
-            continue
-        except NoCorrectionError:
-            pass
-        record = eden_class(k, budget)
-        checks.append(_check(f"correction k={k} none-exists", record.h >= 2,
-                             f"max |coeff| {record.h} at q^{record.witness}"))
-    return checks
-
-
-def _suite_windows(budget) -> list:
-    checks = []
-    records = window_sweep(22, 200, budget)
-    ok = all(r.ok for r in records if r.m <= 69 and r.m != 42)
-    checks.append(_check("window 22<=m<=69 in [2,12]", ok))
-    checks.append(_check("window m=42 value 2 at q^51", records[42 - 22].ok))
-    upper = [r for r in records if r.m > 69]
-    checks.append(_check("window 69<m<=200 in [2,6]", all(r.ok for r in upper)))
-
-    b69 = b_coeff(69).value
-    pnt = pnt_series(469)
-    ok = all(r.value == pnt.coeff(r.exponent) + a_coeff(r.m + 69).value + b69
-             for r in upper)
-    checks.append(_check("three-term-window 69<m<=200", ok))
-    return checks
-
-
-def _suite_conjecture(budget) -> list:
-    report = conjecture_scan(8, budget=budget)
-    checks = [_check("scan-label EMPIRICAL", report.label == "EMPIRICAL")]
-    for name, value in (("rows-singleton h>16", report.singleton_above_16),
-                        ("members-increasing h>16", report.increasing_above_16),
-                        ("union-consecutive h>5", report.consecutive_union_above_5)):
-        if value is None:
-            checks.append(_check(name, True, "vacuous: no counterexample, no evidence"))
-        else:
-            checks.append(_check(name, value))
-    union = report.union
-    consec = union == tuple(range(len(union)))
-    checks.append(_check("union-through-8", consec,
-                         f"{{0..{len(union) - 1}}}" if consec else str(union)))
-    return checks
-
-
-_SUITES = {
-    "identities": _suite_identities,
-    "oracle": _suite_oracle,
-    "corrections": _suite_corrections,
-    "windows": _suite_windows,
-    "conjecture": _suite_conjecture,
-}
-
-
 def _cmd_verify(args, budget, out_stream) -> int:
-    checks = _SUITES[args.suite](budget)
+    rows = [(name, "pass" if passed else "fail", detail)
+            for name, passed, detail in SUITES[args.suite](budget)]
     data = [{"check": name, "result": result, "detail": detail}
-            for name, result, detail in checks]
-    _emit(args, [args.suite], data, checks, out_stream)
-    return 0 if all(result == "pass" for _name, result, _d in checks) else 1
+            for name, result, detail in rows]
+    _emit(args, [args.suite], data, rows, out_stream)
+    return 0 if all(result == "pass" for _name, result, _detail in rows) else 1
 
 
 class _OutFile:

@@ -47,22 +47,22 @@ def F_direct(k: int, M, N: int) -> TruncSeries:
     return TruncSeries(_partial_sums(k, M, N), N)
 
 
-def _partial_sums(k: int, M, N: int) -> list:
-    """Coefficients of sum_{j <= M, kj <= N} q^(kj) (q;q)_j up to q^N.
+def _partial_sums(k: int, M, N: int, first: int = 0, step: int = 1) -> list:
+    """Coefficients to q^N of sum_{j <= M} q^(first+kj) (q;q^step)_j.
 
-    (q;q)_j is carried in one list across j.  Step j cuts it to the
-    N + 1 - kj coefficients still read, multiplies it by (1 - q^j) in
-    place and adds it into the sum from q^(kj) on: about 2(N - kj)
+    (q;q^step)_j is carried in one list across j.  Step j cuts it to the
+    coefficients still read, multiplies it by (1 - q^(1+(j-1)step)) in
+    place and adds it into the sum from q^(first+kj) on: about 2(N - kj)
     updates for each of the N//k + 1 terms.
     """
     out = [0] * (N + 1)
     prod = [1] + [0] * N
     j = 0
-    while k * j <= N and (M is None or j <= M):
-        base = k * j
+    while first + k * j <= N and (M is None or j <= M):
+        base = first + k * j
         del prod[N + 1 - base:]
         if j > 0:
-            _mul_one_minus(prod, j)
+            _mul_one_minus(prod, 1 + (j - 1) * step)
         out[base:] = map(add, out[base:], prod)
         j += 1
     return out
@@ -98,16 +98,8 @@ def one_mod_k_identity_check(k: int, M: int) -> bool:
     if k < 1 or M < 0:
         raise UsageError("one_mod_k_identity_check needs k >= 1 and M >= 0")
     N = (M + 1) + k * M * (M + 1) // 2
-    lhs = [0] * (N + 1)
-    prod = [1] + [0] * N
-    for j in range(M + 1):
-        base = k * j + 1
-        del prod[N + 1 - base:]
-        if j > 0:
-            _mul_one_minus(prod, 1 + (j - 1) * k)
-        lhs[base:] = map(add, lhs[base:], prod)
-    rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
-    return TruncSeries(lhs, N) == rhs
+    lhs = TruncSeries(_partial_sums(k, M, N, 1, k), N)
+    return lhs == TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
 
 
 def f1_base_identity_check(M: int) -> bool:

@@ -131,8 +131,13 @@ def eden_count(k: int, n: int, m: int, limit: int = ENUM_LIMIT_EDEN) -> int:
         # parts_left distinct parts in [1, cap] need at least 1+2+...+parts_left
         if cap < parts_left or rem < parts_left * (parts_left + 1) // 2:
             return 0
-        return sum(count_exact(rem - p, parts_left - 1, p - 1)
-                   for p in range(min(rem, cap), parts_left - 1, -1))
+        r = parts_left - 1
+        total = 0
+        for p in range(min(rem, cap), parts_left - 1, -1):
+            if rem - p > r * (p - 1) - r * (r - 1) // 2:
+                break  # the r largest distinct parts below p fall short
+            total += count_exact(rem - p, r, p - 1)
+        return total
 
     total = 0
     for largest in range(1, n // k + 1):

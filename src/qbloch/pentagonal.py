@@ -88,30 +88,16 @@ class PentaBlock:
         return index <= self.upper if self.upper_closed else index < self.upper
 
 
-def _block_a_index(j: int) -> int:
-    """Largest n >= 0 with p2(2n) = 6n^2 + n <= j, exactly.
+def _block_index(x: int, b: int) -> int:
+    """Largest n >= 0 with 6n^2 + bn <= x, exactly, for x >= 0 and b = +-1.
 
     isqrt seeds the answer; the correction loops run at most one step in
     practice and are exact regardless.
     """
-    if j < 0:
-        raise UsageError(f"index must be non-negative, got {j}")
-    n = (isqrt(24 * j + 1) - 1) // 12 if j else 0
-    while 6 * (n + 1) * (n + 1) + (n + 1) <= j:
+    n = (isqrt(24 * x + 1) - b) // 12
+    while 6 * (n + 1) * (n + 1) + b * (n + 1) <= x:
         n += 1
-    while n > 0 and 6 * n * n + n > j:
-        n -= 1
-    return n
-
-
-def _block_b_index(i: int) -> int:
-    """Largest n >= 0 with p1(2n) - 2 = 6n^2 - n - 2 <= i, exactly."""
-    if i < 0:
-        raise UsageError(f"index must be non-negative, got {i}")
-    n = (isqrt(24 * i + 49) + 1) // 12
-    while 6 * (n + 1) * (n + 1) - (n + 1) - 2 <= i:
-        n += 1
-    while n > 0 and 6 * n * n - n - 2 > i:
+    while n > 0 and 6 * n * n + b * n > x:
         n -= 1
     return n
 
@@ -139,7 +125,9 @@ def _locate_by_bisection(pred) -> int:
 
 def locate_block_a(j: int) -> PentaBlock:
     """The unique block with p2(2n) <= j < p2(2n+2), plus its sub-interval."""
-    n = _block_a_index(j)
+    if j < 0:
+        raise UsageError(f"index must be non-negative, got {j}")
+    n = _block_index(j, 1)  # p2(2n) = 6n^2 + n
     if j < p1(2 * n + 1):
         family = "plus-run"
     elif j < p2(2 * n + 1):
@@ -154,7 +142,9 @@ def locate_block_a(j: int) -> PentaBlock:
 
 def locate_block_b(i: int) -> PentaBlock:
     """The unique block with p1(2n)-2 <= i <= p1(2n+2)-3, plus its sub-interval."""
-    n = _block_b_index(i)
+    if i < 0:
+        raise UsageError(f"index must be non-negative, got {i}")
+    n = _block_index(i + 2, -1)  # p1(2n) - 2 = 6n^2 - n - 2
     if i <= p2(2 * n) - 1:
         family = "low-plateau"
     elif i <= p1(2 * n + 1) - 2:

@@ -1,5 +1,7 @@
 """The enumeration oracle against closed forms and generating functions."""
 
+import sys
+
 import pytest
 
 from qbloch import oracle
@@ -54,6 +56,27 @@ def test_pruned_descent_calls_per_partition(monkeypatch):
             calls = 0
             assert signed_distinct_sum(n, mp) == signed_distinct_table(n, mp)[n]
             assert calls <= 5 * count_distinct_table(n, mp)[n], (n, mp, calls)
+
+
+def test_eden_count_calls_per_partition():
+    """A perf guard, not a timer: summed over m, eden_count's inner descent
+    makes a few calls per partition it counts (unpruned, 18 to 21)."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "count_exact":
+            calls += 1
+
+    for k, n in ((1, 60), (2, 60)):
+        calls = 0
+        sys.setprofile(profile)
+        try:
+            counts = [eden_count(k, n, m) for m in range(1, n + 1)]
+        finally:
+            sys.setprofile(None)
+        assert sum((-1) ** m * c for m, c in enumerate(counts, 1)) == eden_signed_sum(k, n)
+        assert calls <= 8 * sum(counts), (k, n, calls, sum(counts))
 
 
 def test_small_signed_examples():
