@@ -24,7 +24,7 @@ from .classify import Budget, build_s_table, build_shat_table
 from .closed_form import a_coeff, b_coeff
 from .errors import BudgetError, OutputError, UsageError
 from .fseries import F_backsolve
-from .pentagonal import pnt_series
+from .pentagonal import pnt_terms
 from .series import pochhammer
 from .verify import SUITES
 
@@ -132,23 +132,23 @@ def _cmd_expand(args, budget, out_stream) -> int:
     budget.require_order(order, f"expand {args.target}")
 
     if args.target == "pnt":
-        series = pnt_series(order)
+        pairs = pnt_terms(order)
     elif args.target == "q2inf":
-        series = pochhammer(2, 1, None, order)
+        pairs = pochhammer(2, 1, None, order).nonzero_items()
     elif args.target == "q3inf":
-        series = pochhammer(3, 1, None, order)
+        pairs = pochhammer(3, 1, None, order).nonzero_items()
     elif args.target == "poch":
         if idx < 0:
             raise UsageError(f"poch index must be >= 0, got {idx}")
-        series = pochhammer(1, 1, idx, order)
+        pairs = pochhammer(1, 1, idx, order).nonzero_items()
     else:
-        series = F_backsolve(idx, order)
+        pairs = F_backsolve(idx, order).nonzero_items()
 
     header = [args.target] + ([idx] if idx is not None else []) + [order]
-    pairs = series.nonzero_items()
     data = None
     if args.format == "json":
-        data = {"order": order, "coefficients": [[e, c] for e, c in pairs]}
+        # tuples encode as JSON arrays
+        data = {"order": order, "coefficients": pairs}
     _emit(args, header, data, pairs, out_stream)
     return 0
 

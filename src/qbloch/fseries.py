@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import UsageError
-from .pentagonal import p1, p2, pnt_series
+from .pentagonal import p1, pnt_series, pnt_terms
 from .series import TruncSeries, _mul_one_minus, pochhammer, qq_poly
 
 
@@ -194,19 +194,17 @@ class TailSplit:
 
 
 def pentagonal_tail(k: int, N: int) -> TruncSeries:
-    """The signed pentagonal tail T(q) of the k-th split, truncated at N."""
+    """The signed pentagonal tail T(q) of the k-th split, truncated at N:
+    the terms of (q;q)_inf from p1(ns) on, times (-1)^k, shifted down by
+    q^shift."""
     ns = k * (k - 1) // 2 + 1
     shift = k * (k + 1) // 2
+    first = p1(ns)
+    sign = -1 if k % 2 else 1
     coeffs = [0] * (N + 1)
-    n = ns
-    while p1(n) - shift <= N:
-        s = 1 if (n + k) % 2 == 0 else -1
-        e = p1(n) - shift
-        coeffs[e] += s
-        e = p2(n) - shift
-        if e <= N:
-            coeffs[e] += s
-        n += 1
+    for e, c in pnt_terms(N + shift):
+        if e >= first:
+            coeffs[e - shift] = sign * c
     return TruncSeries(coeffs, N)
 
 

@@ -26,21 +26,30 @@ def p2(n: int) -> int:
     return n * (3 * n + 1) // 2
 
 
-def pnt_series(N: int) -> TruncSeries:
-    """(q;q)_infinity modulo q^(N+1), generated from the pentagonal families.
+def pnt_terms(N: int) -> list:
+    """The nonzero terms (e, (-1)^n) of (q;q)_infinity with e <= N, ascending.
 
-    Coefficient (-1)^n at exponents p1(n) and p2(n), zero elsewhere; only
-    O(sqrt(N)) terms are touched.
+    The exponents run p1(0) = 0 < p1(1) < p2(1) < p1(2) < p2(2) < ...,
+    since p2(n) = p1(n) + n and p1(n+1) = p2(n) + 2n + 1; there are about
+    sqrt(8N/3) of them, and this is the only loop that generates them.
     """
-    coeffs = [0] * (N + 1)
-    n = 0
-    while p1(n) <= N:
-        s = -1 if n % 2 else 1
-        coeffs[p1(n)] += s
-        e2 = p2(n)
-        if n > 0 and e2 <= N:
-            coeffs[e2] += s
+    terms = [(0, 1)] if N >= 0 else []
+    e1, n, s = 1, 1, -1  # e1 = p1(n), s = (-1)^n
+    while e1 <= N:
+        terms.append((e1, s))
+        if e1 + n <= N:
+            terms.append((e1 + n, s))
+        e1 += 3 * n + 1
         n += 1
+        s = -s
+    return terms
+
+
+def pnt_series(N: int) -> TruncSeries:
+    """(q;q)_infinity modulo q^(N+1), laid out densely from pnt_terms(N)."""
+    coeffs = [0] * (N + 1)
+    for e, c in pnt_terms(N):
+        coeffs[e] = c
     return TruncSeries(coeffs, N)
 
 

@@ -137,8 +137,8 @@ class TruncSeries:
             raise UsageError("shift exponent must be non-negative")
         if e == 0:
             return self
-        return TruncSeries([0] * min(e, self.order + 1) + self.coeffs[:self.order + 1 - e],
-                           self.order)
+        keep = max(0, self.order + 1 - e)
+        return TruncSeries([0] * (self.order + 1 - keep) + self.coeffs[:keep], self.order)
 
     def coeff(self, t: int):
         """The exact coefficient of q^t; t beyond the order is a usage error."""
@@ -179,17 +179,17 @@ class TruncSeries:
 
     def nonzero_items(self):
         """(exponent, coefficient) pairs for nonzero coefficients, ascending."""
-        coeffs = self.coeffs
-        return [(t, coeffs[t]) for t in compress(range(len(coeffs)), coeffs)]
+        return list(compress(enumerate(self.coeffs), self.coeffs))
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{v}*q^{t}" for t, v in self.nonzero_items()[:6])
-        more = "" if len(self.nonzero_items()) <= 6 else ", ..."
+        items = self.nonzero_items()
+        head = ", ".join(f"{v}*q^{t}" for t, v in items[:6])
+        more = "" if len(items) <= 6 else ", ..."
         return f"TruncSeries({head or '0'}{more}; order={self.order})"
 
 
 def _nonzero_count(coeffs: list) -> int:
-    return sum(1 for v in coeffs if v)
+    return len(coeffs) - coeffs.count(0)
 
 
 def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:
@@ -275,19 +275,21 @@ def _qq_horner(m: int, T: int) -> list:
 
         (q;q)_m = P + q^s/(1-q) (P + q^s/(1-q^2) (... (P + q^s/(1-q^K) P))).
 
-    The innermost P is needed below q^(T+1-Ks) only, and each step k = K..1
-    divides by (1 - q^k), shifts by q^s and adds the O(sqrt T) pentagonal
-    terms of P: one pass over T + 1 - (k-1)s coefficients, about K*T/2
-    updates in all.  pochhammer reads at most half the degree,
+    P is read as its O(sqrt T) pentagonal terms, pnt_terms(T).  The
+    innermost P is laid out below q^(T+1-Ks) only, and each step k = K..1
+    divides by (1 - q^k), shifts by q^s and adds the terms of P: one pass
+    over T + 1 - (k-1)s coefficients, about K*T/2 updates in all.  pochhammer reads at most half the degree,
     T <= m(m+1)/4, so K <= m/4; carrying the m factors costs about m*T/2.
     """
-    from .pentagonal import pnt_series  # pentagonal imports this module
+    from .pentagonal import pnt_terms  # pentagonal imports this module
     s = m + 1
     K = T // s
-    pnt = pnt_series(T)
-    terms = pnt.nonzero_items()
-    coeffs = pnt.coeffs
-    del coeffs[T - K * s + 1:]
+    terms = pnt_terms(T)
+    coeffs = [0] * (T - K * s + 1)
+    for e, c in terms:
+        if e >= len(coeffs):
+            break
+        coeffs[e] = c
     for k in range(K, 0, -1):
         _div_one_minus(coeffs, k)
         coeffs[:0] = [0] * s

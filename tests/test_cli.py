@@ -1,12 +1,14 @@
 """End-to-end runs of the command-line interface, via subprocess except
 for the random-argv contract test, which calls main in-process."""
 
+import hashlib
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -37,6 +39,49 @@ def test_expand_pnt_tsv_golden():
     pairs = [tuple(int(x) for x in line.split("\t")) for line in lines[1:]]
     assert pairs == [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1),
                      (12, -1), (15, -1), (22, 1), (26, 1)]
+
+
+#: SHA-256 of the stdout of `expand pnt N --format F`, recorded from the
+#: dense-list implementation that built and scanned the whole series.
+PNT_STDOUT_SHA256 = {
+    (0, "tsv"): "426f6cd7f8e7e053ed25e374600995cb4d6cf4b962e9a320829a40b8a857d417",
+    (0, "json"): "85639392e6644750f0f4486a82e88cedea41fdfbeac8dd210f410e6862255d48",
+    (1, "tsv"): "970be25d91a84b6fe54e89c45a92ce622ab35d8cbd7ae317d3a4fb9aaba44eef",
+    (1, "json"): "a8d1e3ff124ede7fa17442fddad38d57e73c828545f69f57a2fc7e7337e8dc9c",
+    (2, "tsv"): "d324bd9350ce7391dc494e8c1278a4300162d6c2a55f728f7530e0818a95ee30",
+    (2, "json"): "0e57efb39702146dcf561a3de3f7264f6a9892bb0ed7696618712da93a0f3777",
+    (5, "tsv"): "a846c37fc7707f08209b07e5c8569bab483c7c68fd8a9c46664620539759f548",
+    (5, "json"): "49b3c949bfb7510fae07a36903fa16d096b13cbd43acb966ccd5ed4a3723fe66",
+    (7, "tsv"): "e465950e6edd909b99f3603edd3084d8c7731100fa63ac07e1ba520a9472539e",
+    (7, "json"): "1e215a4e6563290ec2110bce8cbd133c624883c4f1401f85374bf35c128f2972",
+    (12, "tsv"): "ccc0f748a1bad85a34508514c355fcc10c363b1643ed4107fa7f3467525f2ff2",
+    (12, "json"): "5a67d0b98f39c8748cb639574ee2bfedc7589419ec2442a3703c297b78424596",
+    (40, "tsv"): "e3e2986f90ec3ee3d7bb7e95404070b3d5f5463b62fec0c6bca0e488450a21a7",
+    (40, "json"): "6346b5d7a1ad0d6a459da9c5bc202d91af5a1c5c1038ed7feda3c36186ebe703",
+    (250000, "tsv"): "1d008b40f4c415a004511ea18df00c6e9c85e4ee2cf5270ffd93c4a3dd31c151",
+    (250000, "json"): "850f0ebe7b257c3243a1eee725819cb32619aa66954c8d597efb4006eda4076c",
+}
+
+
+@pytest.mark.parametrize("order, fmt", sorted(PNT_STDOUT_SHA256))
+def test_expand_pnt_stdout_is_pinned(order, fmt, capsys):
+    assert main(["expand", "pnt", str(order), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PNT_STDOUT_SHA256[order, fmt]
+
+
+@pytest.mark.parametrize("fmt", ("tsv", "json"))
+def test_expand_pnt_memory_follows_its_terms(fmt, capsys):
+    # order 250000 has 817 nonzero terms; a dense list of its coefficients
+    # alone would take about 2 MiB
+    tracemalloc.start()
+    try:
+        assert main(["expand", "pnt", "250000", "--format", fmt]) == 0
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 1 << 20, peak
 
 
 def test_expand_poch_zero():

@@ -201,6 +201,34 @@ def test_eden_series_signs():
     assert eden_series(1, 10).coeff(1) == -1
 
 
+def test_eden_series_past_its_order_is_zero():
+    # (-q)^k F_k starts at q^k; every order below k reads zero, including
+    # N + 1 < k < 2(N + 1), where the shift once sliced from the far end
+    for k, N in ((10, 3), (4, 3), (5, 3), (10, 5), (10, 8), (10, 9)):
+        assert eden_series(k, N) == TruncSeries.zero(N), (k, N)
+
+
+def tail_by_families(k, N):
+    # the tail term by term: (-1)^(n+k) at p1(n) - shift and p2(n) - shift
+    # for every n from the split index on
+    ns = k * (k - 1) // 2 + 1
+    shift = k * (k + 1) // 2
+    coeffs = [0] * (N + 1)
+    n = ns
+    while p1(n) - shift <= N:
+        for e in (p1(n) - shift, p2(n) - shift):
+            if e <= N:
+                coeffs[e] += (-1) ** (n + k)
+        n += 1
+    return TruncSeries(coeffs, N)
+
+
+def test_pentagonal_tail_against_the_families():
+    for k in range(2, 14):
+        for N in (0, 1, 5, 50, 500, 3000):
+            assert pentagonal_tail(k, N) == tail_by_families(k, N), (k, N)
+
+
 def test_argument_validation():
     with pytest.raises(UsageError):
         F_direct(0, None, 10)

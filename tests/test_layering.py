@@ -1,7 +1,7 @@
 """Dependency rules between the qbloch modules, read from their source with
 ast: the oracle stays independent of the machinery it checks, the verify
 suites call the traced layers through their modules, and the CLI leaves the
-oracle to them."""
+oracle to them and the dense pentagonal series to the library."""
 
 import ast
 from pathlib import Path
@@ -13,33 +13,53 @@ SRC = Path(qbloch.__file__).parent
 TRACED = ("cli", "series", "pentagonal", "closed_form", "fseries", "classify", "oracle")
 
 
-def package_imports(module):
-    """(imported qbloch module, form) for every import of a qbloch module in
-    module's source; form is "module" for `from . import x`, `import
-    qbloch.x` and `from qbloch import x`, and "names" for `from .x import y`."""
+def _package_import_nodes(module):
+    """(imported qbloch module, node) for every import node of module's
+    source that names the package; the module is "" for `from . import x`
+    and `from qbloch import x`, whose names are themselves modules."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [(alias.name.split(".")[1], "module") for alias in node.names
-                      if alias.name.startswith("qbloch.")]
+            for alias in node.names:
+                if alias.name.startswith("qbloch."):
+                    yield alias.name.split(".")[1], node
         elif isinstance(node, ast.ImportFrom):
             name = node.module or ""
             if node.level == 0:
                 if name != "qbloch" and not name.startswith("qbloch."):
                     continue
                 name = name[len("qbloch."):] if "." in name else ""
-            if name:
-                found.append((name.split(".")[0], "names"))
-            else:
-                found += [(alias.name, "module") for alias in node.names]
+            yield name.split(".")[0], node
+
+
+def package_imports(module):
+    """(imported qbloch module, form) for every import of a qbloch module in
+    module's source; form is "module" for `from . import x`, `import
+    qbloch.x` and `from qbloch import x`, and "names" for `from .x import y`."""
+    found = []
+    for name, node in _package_import_nodes(module):
+        if isinstance(node, ast.Import):
+            found.append((name, "module"))
+        elif name:
+            found.append((name, "names"))
+        else:
+            found += [(alias.name, "module") for alias in node.names]
     return found
+
+
+def imported_names(module):
+    """Every name module's from-imports of the package bind, whether the
+    name is a module (`from . import x`) or one of its attributes."""
+    return {alias.name for _name, node in _package_import_nodes(module)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_package_imports_reads_every_form():
     assert ("fseries", "module") in package_imports("verify")
     assert ("errors", "names") in package_imports("verify")
     assert ("verify", "names") in package_imports("cli")
+    assert {"SUITES", "pochhammer", "UsageError"} <= imported_names("cli")
+    assert "fseries" in imported_names("verify")
 
 
 def test_oracle_imports_only_errors():
@@ -54,3 +74,10 @@ def test_verify_reaches_traced_layers_only_through_modules():
 
 def test_cli_does_not_import_the_oracle():
     assert "oracle" not in {name for name, _form in package_imports("cli")}
+
+
+def test_cli_reaches_the_pentagonal_series_only_through_its_terms():
+    # (q;q)_inf is printed from its O(sqrt N) terms; the dense series, which
+    # costs O(N) memory, stays out of the CLI
+    assert "pnt_series" not in imported_names("cli")
+    assert ("pentagonal", "module") not in package_imports("cli")

@@ -7,7 +7,7 @@ import pytest
 from qbloch.errors import UsageError
 from qbloch.pentagonal import (PentaBlock, _locate_by_bisection, gap_check,
                                locate_block_a, locate_block_b, p1, p2,
-                               pentagonal_index, pnt_series)
+                               pentagonal_index, pnt_series, pnt_terms)
 from qbloch.series import pochhammer
 
 
@@ -25,6 +25,23 @@ def test_gap_growth_large_sweep():
 def test_pnt_series_equals_product():
     N = 10 ** 4
     assert pnt_series(N) == pochhammer(1, 1, None, N)
+
+
+def test_pnt_terms_are_the_theorem_support_in_order():
+    for N in (*range(60), 100, 1000, 2000):
+        terms = pnt_terms(N)
+        exponents = [e for e, _c in terms]
+        assert all(a < b for a, b in zip(exponents, exponents[1:])), N
+        assert exponents == [e for e in range(N + 1) if pentagonal_index(e) is not None]
+        for e, c in terms:
+            n, _family = pentagonal_index(e)
+            assert c == (-1) ** n, (N, e)
+    assert pnt_terms(-1) == []
+
+
+def test_pnt_series_is_filled_from_its_terms():
+    for N in range(301):
+        assert pnt_series(N).nonzero_items() == pnt_terms(N), N
 
 
 def test_pentagonal_index_round_trip():

@@ -7,8 +7,8 @@ import pytest
 from qbloch.errors import UsageError
 from qbloch import series
 from qbloch.cli import main
-from qbloch.series import (TruncSeries, _carried_products, _tail_coeffs, _tails,
-                           pochhammer, qq_poly)
+from qbloch.series import (TruncSeries, _carried_products, _nonzero_count,
+                           _tail_coeffs, _tails, pochhammer, qq_poly)
 
 
 def random_series(rng, order, density=0.5, bound=9):
@@ -81,6 +81,34 @@ def test_shift_and_degree():
     a = TruncSeries([0, 3, 0, 0], 3)
     b = TruncSeries([0, 0, -1, 0], 3)
     assert (a * b).degree() == 3  # 3*q * -q^2
+
+
+def test_shift_past_the_order_truncates_to_zero():
+    rng = random.Random(7)
+    for order in (0, 1, 5, 12):
+        s = random_series(rng, order)
+        for e in range(order + 4):
+            # q^e * s, term by term, cut at the order
+            naive = [0] * (order + 1)
+            for t, c in enumerate(s.coeffs):
+                if t + e <= order:
+                    naive[t + e] = c
+            assert s.shift(e) == TruncSeries(naive, order), (order, e)
+    assert TruncSeries([1, 2, 3, 4, 5, 6]).shift(7) == TruncSeries.zero(5)
+
+
+def test_dense_readers_match_their_plain_definitions():
+    rng = random.Random(11)
+    for order in (0, 1, 3, 7, 40, 300):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            s = random_series(rng, order, density)
+            coeffs = s.coeffs
+            items = [(t, coeffs[t]) for t in range(len(coeffs)) if coeffs[t]]
+            assert s.nonzero_items() == items
+            assert _nonzero_count(coeffs) == sum(1 for v in coeffs if v)
+            head = ", ".join(f"{v}*q^{t}" for t, v in items[:6])
+            more = "" if len(items) <= 6 else ", ..."
+            assert repr(s) == f"TruncSeries({head or '0'}{more}; order={order})"
 
 
 def test_known_pochhammer_polynomials():
