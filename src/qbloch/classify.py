@@ -7,11 +7,10 @@ and only the m left over are expanded in full.  It reads the coefficients
 below q^(7(m+1)) at random from the tails (q^j;q)_inf, j <= 7, built once,
 since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf.  Shat_h classifies F_k
 the same way by height, scanned up to the sufficient bound
-(k-1)(3k^3-3k^2+10k-8)/8.  Both sweeps run in one process and take no
-worker count; the CLI accepts one, validates it and ignores it.  The window
-checks certify the inequalities that make the S cut-offs work, reading
-their coefficients from tails the same way, and conjecture_scan reports
-(empirically, never as proof) on the observed shape of the S_h rows.
+(k-1)(3k^3-3k^2+10k-8)/8.  The window checks certify the inequalities
+that make the S cut-offs work, reading their coefficients from tails the
+same way, and conjecture_scan reports (empirically, never as proof) on the
+observed shape of the S_h rows.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ class HTable:
     exponent that settles m: for a non-member, an exponent where
     |coefficient| > H (an exact witness, not necessarily the smallest one);
     for a member, the smallest exponent attaining its height.  Kind 'Shat'
-    leaves it empty.  A table is a function of its limit alone: neither
-    build_s_table nor build_shat_table takes a worker count."""
+    leaves it empty."""
 
     kind: str
     rows: dict = field(default_factory=dict)
@@ -294,17 +292,12 @@ def conjecture_scan(H: int, budget: Budget = DEFAULT_BUDGET) -> ConjectureReport
         notes.append("consecutive-union clause vacuous for H={}: it applies to h>5".format(H))
     else:
         consecutive = True
-        running = set()
-        for h in range(1, H + 1):
-            running.update(table.rows[h][0])
-            if h > 5 and running != set(range(len(running))):
-                consecutive = False
-                notes.append("union through h={} is not consecutive".format(h))
-                break
-
     union = set()
     for h in range(1, H + 1):
         union.update(table.rows[h][0])
+        if consecutive and h > 5 and union != set(range(len(union))):
+            consecutive = False
+            notes.append("union through h={} is not consecutive".format(h))
     return ConjectureReport(h_max=H, label="EMPIRICAL",
                             singleton_above_16=singleton,
                             increasing_above_16=increasing,

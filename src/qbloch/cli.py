@@ -1,7 +1,9 @@
 """Command-line surface: expand, coeff, table, verify.
 
 The verify suites and their checks live in qbloch.verify; this module parses
-arguments, applies budgets and formats the results.
+arguments, applies budgets and formats the results.  Each _cmd_* handler
+returns (exit code, header args, json data, tsv rows) and writes nothing;
+main renders that and writes the text once.
 
 Output is deterministic and machine-readable.  TSV starts with a header line
 "# <command> <args> <version>"; JSON is one object {"meta": ..., "data": ...}.
@@ -88,21 +90,21 @@ def _make_budget(args) -> Budget:
         max_enum=args.budget_enum if args.budget_enum is not None else base.max_enum)
 
 
-def _emit(args, header_args, data, rows, out_stream) -> None:
-    """rows: tsv lines as tuples of one length, each cell printed by str();
-    data: json payload."""
+def _render(args, header_args, data, rows) -> str:
+    """The command's output text.  rows: tsv lines as tuples of one length,
+    each cell printed by str(); data: json payload."""
     if args.format == "json":
         doc = {"meta": {"command": args.command,
                         "args": [str(a) for a in header_args],
                         "version": __version__},
                "data": data}
-        out_stream.write(json.dumps(doc) + "\n")
-    else:
-        head = " ".join(str(a) for a in header_args)
-        out_stream.write(f"# {args.command} {head} {__version__}\n")
-        if rows:
-            line = "\t".join(["%s"] * len(rows[0])) + "\n"
-            out_stream.write("".join([line % row for row in rows]))
+        return json.dumps(doc) + "\n"
+    head = " ".join(str(a) for a in header_args)
+    text = [f"# {args.command} {head} {__version__}\n"]
+    if rows:
+        line = "\t".join(["%s"] * len(rows[0])) + "\n"
+        text += [line % row for row in rows]
+    return "".join(text)
 
 
 def _resolve_order(args, tail_params) -> int:
@@ -116,7 +118,7 @@ def _resolve_order(args, tail_params) -> int:
     raise UsageError("no truncation order given (positionally or via --order)")
 
 
-def _cmd_expand(args, budget, out_stream) -> int:
+def _cmd_expand(args, budget) -> tuple:
     params = list(args.params)
     if args.target in ("poch", "f"):
         if not params:
@@ -145,15 +147,11 @@ def _cmd_expand(args, budget, out_stream) -> int:
         pairs = F_backsolve(idx, order).nonzero_items()
 
     header = [args.target] + ([idx] if idx is not None else []) + [order]
-    data = None
-    if args.format == "json":
-        # tuples encode as JSON arrays
-        data = {"order": order, "coefficients": pairs}
-    _emit(args, header, data, pairs, out_stream)
-    return 0
+    # tuples encode as JSON arrays
+    return 0, header, {"order": order, "coefficients": pairs}, pairs
 
 
-def _cmd_coeff(args, budget, out_stream) -> int:
+def _cmd_coeff(args, budget) -> tuple:
     if not _INDEX_RE.fullmatch(args.index):
         raise UsageError(f"index must be a decimal numeral, got {args.index!r}")
     # int() of the index and str() of the answer raise past the interpreter's
@@ -178,11 +176,10 @@ def _cmd_coeff(args, budget, out_stream) -> int:
                       "upper_closed": block.upper_closed}}
     rows = [(answer.value, answer.case_tag, block.n, block.family,
              block.lower, block.upper)]
-    _emit(args, [args.which, args.index], data, rows, out_stream)
-    return 0
+    return 0, [args.which, args.index], data, rows
 
 
-def _cmd_table(args, budget, out_stream) -> int:
+def _cmd_table(args, budget) -> tuple:
     if args.limit < 1:
         raise UsageError(f"limit must be >= 1, got {args.limit}")
     if args.kind == "S":
@@ -194,48 +191,35 @@ def _cmd_table(args, budget, out_stream) -> int:
     data = {"kind": table.kind, "horizon": table.horizon,
             "rows": [{"h": h, "members": list(members), "cutoff": cutoff}
                      for h, (members, cutoff) in sorted(table.rows.items())]}
-    _emit(args, [args.kind, args.limit], data, rows, out_stream)
-    return 0
+    return 0, [args.kind, args.limit], data, rows
 
 
-def _cmd_verify(args, budget, out_stream) -> int:
+def _cmd_verify(args, budget) -> tuple:
     rows = [(name, "pass" if passed else "fail", detail)
             for name, passed, detail in SUITES[args.suite](budget)]
     data = [{"check": name, "result": result, "detail": detail}
             for name, result, detail in rows]
-    _emit(args, [args.suite], data, rows, out_stream)
-    return 0 if all(result == "pass" for _name, result, _detail in rows) else 1
-
-
-class _OutFile:
-    """The --out file as a handler sees it: an OSError from write() becomes
-    OutputError, so one raised by the computation itself still passes
-    through unchanged."""
-
-    def __init__(self, fh, path):
-        self._fh = fh
-        self._path = path
-
-    def write(self, text):
-        try:
-            return self._fh.write(text)
-        except OSError as exc:
-            raise _output_error(self._path, exc) from exc
+    code = 0 if all(result == "pass" for _name, result, _detail in rows) else 1
+    return code, [args.suite], data, rows
 
 
 def _output_error(path, exc) -> OutputError:
     return OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_out(path, write) -> int:
-    """Run write(fh) against the --out target.
+def _write_out(path, run) -> int:
+    """Run run(), which returns (code, text), and write text to the --out
+    target.
 
-    A regular file (or a path not there yet) is written as a fresh file
-    beside the symlink-resolved target, given the old file's mode and moved
-    onto it only when write returns, so an error leaves neither a partial
-    file nor the temporary one.  A pipe or device such as /dev/stdout cannot
-    be replaced and is written in place.  Only errors of the file itself
-    (open, write, close, mode, replace) become OutputError.
+    The target is opened before run() starts, so one that cannot be
+    written fails before any work, and nothing is written until run() has
+    returned, so only errors of the file itself (open, write, close, mode,
+    replace) become OutputError.  A regular file (or a path not there yet)
+    is written as a fresh file beside the symlink-resolved target, given
+    the old file's mode and moved onto it only when the text is written,
+    so an error leaves neither a partial file nor the temporary one.  A
+    pipe or device such as /dev/stdout cannot be replaced and is written in
+    place.
     """
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = path if in_place else os.path.realpath(path)
@@ -245,8 +229,9 @@ def _write_out(path, write) -> int:
     except OSError as exc:
         raise _output_error(path, exc) from exc
     try:
-        code = write(_OutFile(fh, path))
+        code, text = run()
         try:
+            fh.write(text)
             fh.close()
             if not in_place:
                 if os.path.isfile(target):
@@ -272,9 +257,16 @@ def main(argv=None) -> int:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         handler = {"expand": _cmd_expand, "coeff": _cmd_coeff,
                    "table": _cmd_table, "verify": _cmd_verify}[args.command]
+
+        def run():
+            code, header_args, data, rows = handler(args, budget)
+            return code, _render(args, header_args, data, rows)
+
         if args.out is not None:
-            return _write_out(args.out, lambda fh: handler(args, budget, fh))
-        return handler(args, budget, sys.stdout)
+            return _write_out(args.out, run)
+        code, text = run()
+        sys.stdout.write(text)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

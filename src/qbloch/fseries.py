@@ -106,10 +106,8 @@ def f1_base_identity_check(M: int) -> bool:
     """Exact base identity q F_{1,M} == 1 - (q;q)_{M+1}."""
     if M < 0:
         raise UsageError(f"M must be >= 0, got {M}")
-    N = (M + 1) * (M + 2) // 2
-    lhs = F_direct(1, M, N).shift(1)
-    rhs = TruncSeries.one(N) - pochhammer(1, 1, M + 1, N)
-    return lhs == rhs
+    # parts 1 mod 1 are all parts: the k = 1 case, term for term
+    return one_mod_k_identity_check(1, M)
 
 
 def F_backsolve(k: int, N: int) -> TruncSeries:
@@ -188,7 +186,7 @@ class TailSplit:
         independent constructions."""
         if N > self.P.order:
             raise UsageError(f"order {N} exceeds the stored head order {self.P.order}")
-        factor = TruncSeries(list(self.tail_factor.coeffs), N)
+        factor = TruncSeries(self.tail_factor.coeffs, N)
         head = TruncSeries(self.P.coeffs[:N + 1], N)
         return head + factor * pentagonal_tail(self.k, N)
 
@@ -222,7 +220,7 @@ def tail_split(k: int, N: int) -> TailSplit:
             f"order {N} too small; need at least {p1(ns + 2) - shift} "
             f"to expose two tail terms for k={k}")
     factor_full = qq_poly(k - 1)
-    factor_n = TruncSeries(list(factor_full.coeffs), N)
+    factor_n = TruncSeries(factor_full.coeffs, N)
     head = F_backsolve(k, N) - factor_n * pentagonal_tail(k, N)
     first_tail_exp = p1(ns) - shift
     if head.degree() >= first_tail_exp:

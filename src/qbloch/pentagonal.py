@@ -46,11 +46,15 @@ def pnt_terms(N: int) -> list:
 
 
 def pnt_series(N: int) -> TruncSeries:
-    """(q;q)_infinity modulo q^(N+1), laid out densely from pnt_terms(N)."""
-    coeffs = [0] * (N + 1)
+    """(q;q)_infinity modulo q^(N+1), laid out densely from pnt_terms(N).
+
+    The terms go straight into the list of the series returned, so only
+    one O(N) list is ever held.
+    """
+    series = TruncSeries.zero(N)
     for e, c in pnt_terms(N):
-        coeffs[e] = c
-    return TruncSeries(coeffs, N)
+        series.coeffs[e] = c
+    return series
 
 
 def pentagonal_index(e: int):

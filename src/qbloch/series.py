@@ -9,7 +9,7 @@ of decimal digits are fine.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import add, sub
 
 from .errors import UsageError
@@ -59,7 +59,7 @@ class TruncSeries:
         if len(coeffs) > order + 1:
             raise UsageError(
                 f"{len(coeffs)} coefficients do not fit order {order}")
-        coeffs.extend([0] * (order + 1 - len(coeffs)))
+        coeffs.extend(repeat(0, order + 1 - len(coeffs)))
         self.coeffs = coeffs
         self.order = order
 

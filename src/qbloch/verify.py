@@ -92,7 +92,7 @@ def _suite_corrections(budget) -> list:
     for k, horizon in corrected.items():
         corr = fseries.correction(k).poly
         diff = (fseries.F_direct(k, None, horizon)
-                - series.TruncSeries(list(corr.coeffs), horizon))
+                - series.TruncSeries(corr.coeffs, horizon))
         checks.append((f"correction k={k} BP-to-{horizon}", diff.is_bloch_polya(), ""))
     for k in uncorrectable:
         try:

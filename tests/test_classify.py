@@ -192,6 +192,20 @@ def test_conjecture_scan_h5_union_has_gap():
     assert report.consecutive_union_above_5 is None
 
 
+def test_conjecture_scan_notes_the_first_gap_and_keeps_the_whole_union(monkeypatch):
+    # a staged table whose union first leaves a gap at h = 6
+    rows = {1: ((0, 1), 69), 2: ((2,), 116), 3: ((), 175), 4: ((), 246),
+            5: ((), 329), 6: ((4,), 424), 7: ((6,), 531), 8: ((3, 5), 650)}
+    monkeypatch.setattr(classify, "build_s_table",
+                        lambda H, budget: classify.HTable(kind="S", rows=rows, horizon=650))
+    report = conjecture_scan(8)
+    assert report.consecutive_union_above_5 is False
+    assert report.union == (0, 1, 2, 3, 4, 5, 6)
+    assert report.notes == (
+        "h>16 clauses vacuous for H=8: no counterexample, no evidence",
+        "union through h=6 is not consecutive")
+
+
 class RefusingPool:
     """Stands in for ProcessPoolExecutor and fails any attempt to start one."""
 

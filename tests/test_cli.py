@@ -345,8 +345,7 @@ def test_oserror_from_the_command_is_not_an_output_error(tmp_path, monkeypatch):
     # only errors of the --out file itself map to exit 4
     from qbloch import cli
 
-    def broken(args, budget, out_stream):
-        out_stream.write("partial\n")
+    def broken(args, budget):
         raise OSError(24, "Too many open files")
 
     monkeypatch.setattr(cli, "_cmd_expand", broken)
@@ -354,6 +353,78 @@ def test_oserror_from_the_command_is_not_an_output_error(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli.main(["expand", "pnt", "5", "--out", str(target)])
     assert list(tmp_path.iterdir()) == []
+
+
+class CountingStdout:
+    """Stands in for sys.stdout and keeps every text written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("argv", [("expand", "pnt", "12"), ("expand", "poch", "5", "15"),
+                                  ("coeff", "a", "12"), ("table", "S", "2"),
+                                  ("verify", "conjecture")])
+def test_main_writes_its_output_once(argv, fmt, monkeypatch):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*argv, "--format", fmt]) == 0
+    assert len(stdout.writes) == 1
+    text = stdout.writes[0]
+    if fmt == "json":
+        assert json.loads(text)["meta"]["command"] == argv[0]
+    else:
+        assert text.startswith(f"# {' '.join(argv)} {__version__}\n")
+        assert len(text.splitlines()) > 1
+
+
+def test_a_failing_handler_writes_nothing(monkeypatch, capsys):
+    from qbloch import cli
+    from qbloch.errors import UsageError
+
+    def failing(args, budget):
+        raise UsageError("refused")
+
+    monkeypatch.setattr(cli, "_cmd_coeff", failing)
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["coeff", "a", "12"]) == 2
+    assert stdout.writes == []
+    assert capsys.readouterr().err == "usage error: refused\n"
+
+
+def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    from qbloch import cli
+    calls = []
+
+    def recording(args, budget):
+        calls.append(args.target)
+        return 0, [], None, []
+
+    monkeypatch.setattr(cli, "_cmd_expand", recording)
+    target = tmp_path / "missing" / "x.tsv"
+    assert cli.main(["expand", "pnt", "5", "--out", str(target)]) == 4
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"output error: cannot write {target}")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_to_a_full_device_is_a_one_line_error():
+    proc = run_cli("expand", "pnt", "12", "--out", "/dev/full")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == ("output error: cannot write /dev/full: "
+                           "No space left on device\n")
 
 
 def test_out_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):

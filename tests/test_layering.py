@@ -1,7 +1,8 @@
 """Dependency rules between the qbloch modules, read from their source with
 ast: the oracle stays independent of the machinery it checks, the verify
-suites call the traced layers through their modules, and the CLI leaves the
-oracle to them and the dense pentagonal series to the library."""
+suites call the traced layers through their modules, the CLI leaves the
+oracle to them and the dense pentagonal series to the library, and the
+package imports a fixed set of standard-library modules."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,27 @@ def test_cli_reaches_the_pentagonal_series_only_through_its_terms():
     # costs O(N) memory, stays out of the CLI
     assert "pnt_series" not in imported_names("cli")
     assert ("pentagonal", "module") not in package_imports("cli")
+
+
+#: Every module outside the package that src/qbloch imports.  A cold start,
+#: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
+#: one is a deliberate edit here.
+STDLIB = {"__future__", "argparse", "contextlib", "dataclasses", "itertools", "json",
+          "math", "operator", "os", "re", "shutil", "sys"}
+
+
+def outside_imports():
+    """The top-level names of every absolute import in src/qbloch that is
+    not the package itself, function-level imports included."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - {"qbloch"}
+
+
+def test_the_package_imports_a_fixed_set_of_stdlib_modules():
+    assert outside_imports() == STDLIB

@@ -1,6 +1,7 @@
 """Pentagonal families, gap growth, and exact block location."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,19 @@ def test_gap_growth_large_sweep():
 def test_pnt_series_equals_product():
     N = 10 ** 4
     assert pnt_series(N) == pochhammer(1, 1, None, N)
+
+
+def test_pnt_series_holds_one_dense_list():
+    # 250001 list slots take 1.9 MiB; a second copy of them would pass 2.5
+    pnt_series(10)
+    tracemalloc.start()
+    try:
+        series = pnt_series(250_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.nonzero_items() == pnt_terms(250_000)
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_pnt_terms_are_the_theorem_support_in_order():
