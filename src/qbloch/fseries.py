@@ -10,10 +10,11 @@ is possible (k = 1, 2, 3, 4, 6 and no other k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import add, sub
 
 from .errors import UsageError
-from .pentagonal import p1, pnt_series, pnt_terms
+from .pentagonal import p1, pnt_terms
 from .series import TruncSeries, _mul_one_minus, pochhammer, qq_poly
 
 
@@ -113,52 +114,51 @@ def f1_base_identity_check(M: int) -> bool:
 def F_backsolve(k: int, N: int) -> TruncSeries:
     """F_k(q) modulo q^(N+1) by the cheaper of two exact routes.
 
-    While k(k+1)/2 is small against N this is the backsolved representation
-    (_backsolved), O(k(N + k^2)) work.  For larger k the defining sum has
-    only N//k + 1 terms and costs less; it is taken then, so the work never
-    exceeds O(N^1.5) whatever k is.  Must agree with F_direct.
+    While (q;q)_{k-1} is small against N this is the backsolved
+    representation (_backsolved): about sqrt(N + k^2) slices of k^2/2
+    coefficients.  For larger k the defining sum has only N//k + 1 terms
+    and costs less; it is taken then, so the work never exceeds O(N^1.5)
+    whatever k is.  Must agree with F_direct.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    shift = k * (k + 1) // 2
-    # coefficient updates per route: k passes over N + shift coefficients
-    # plus the finite terms, against N//k + 1 terms of about N each, which
-    # were measured to cost about 3:2 per update
-    if 3 * (N // k + 1) * (N + 1) < 2 * k * (N + 2 * shift):
+    if N < 0:
+        raise UsageError(f"order must be non-negative, got {N}")
+    degree = k * (k - 1) // 2
+    half = degree // 2
+    # coefficient updates per route, from each builder's loop bounds: one
+    # slice per pentagonal term to q^(N + shift), plus (q;q)_{k-1} built to
+    # half its degree (series._qq_horner), against the sum's N//k + 1 terms
+    slices = isqrt(8 * (N + degree + k) // 3) * (min(degree, N) + 1)
+    if (N // k + 1) * (N + 1) < slices + half // k * half // 2:
         return TruncSeries(_partial_sums(k, None, N), N)
     return _backsolved(k, N)
 
 
-def _backsolved(k: int, N: int) -> TruncSeries:
+def _backsolved(k: int, N: int, lo: int = 0, hi=None) -> TruncSeries:
     """F_k(q) modulo q^(N+1) through the backsolved representation
 
         q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
                            + (-1)^k (q;q)_{k-1} (q;q)_infinity
 
-    divided by the q^(k(k+1)/2) prefactor.  The tail is the pentagonal
-    expansion times k-1 binomials, O(k(N + k^2)) work.  Every finite term
-    has degree k(k-1)/2, below the prefactor, so the terms only have to
-    cancel the tail there; a leftover is an error.  They are built one from
-    the next, (q^(k-i);q)_i = (1 - q^(k-i)) (q^(k-i+1);q)_(i-1), O(k^3).
+    divided by the q^(k(k+1)/2) prefactor.  Every finite term has degree at
+    most k(k-1)/2, below the prefactor, so only the product is read: one slice
+    add of +-(q;q)_{k-1} for each pentagonal term (e, c) with e <= N + shift,
+    about sqrt(8(N + shift)/3) slices of min(k(k-1)/2, N) + 1 coefficients.
+    Only the terms with lo <= e < hi are added, so that tail_split and
+    TailSplit.reconstruct can take the two sides of one exponent.
     """
     shift = k * (k + 1) // 2
-    tail = pnt_series(N + shift).coeffs
-    for d in range(1, k):
-        _mul_one_minus(tail, d)
-    sign = 1 if k % 2 == 0 else -1
-    low = [sign * c for c in tail[:shift]]
-    term = [1]
-    for i in range(k):
-        if i > 0:
-            term.extend([0] * (k - i))
-            _mul_one_minus(term, k - i)
-        lo = (k - 1 - i) * (k - i) // 2
-        hi = lo + len(term)
-        low[lo:hi] = map(add if i % 2 == 0 else sub, low[lo:hi], term)
-    if any(low):
-        raise RuntimeError(
-            f"backsolve for k={k} left nonzero coefficients below q^{shift}")
-    return TruncSeries(tail[shift:] if sign == 1 else [-c for c in tail[shift:]], N)
+    factor = qq_poly(k - 1).coeffs
+    sign = -1 if k % 2 else 1
+    out = [0] * (N + 1)
+    top = N + shift if hi is None else min(N + shift, hi - 1)
+    for e, c in pnt_terms(top):
+        t = e - shift  # factor[a:b] lands on out[t + a:t + b], inside 0..N
+        a, b = max(-t, 0), min(len(factor), N + 1 - t)
+        if e >= lo and a < b:
+            out[t + a:t + b] = map(add if c == sign else sub, out[t + a:t + b], factor[a:b])
+    return TruncSeries(out, N)
 
 
 @dataclass(frozen=True)
@@ -181,20 +181,22 @@ class TailSplit:
         return pentagonal_tail(self.k, N)
 
     def reconstruct(self, N: int) -> TruncSeries:
-        """P + tail_factor * T at order N; must reproduce F_direct exactly.
-        P is built from F_backsolve, so that comparison checks two
-        independent constructions."""
+        """P + tail_factor * T at any order N up to P.order: P plus the
+        slices of +-tail_factor for the pentagonal terms from
+        p1(tail_start_n) on (_backsolved).  Must reproduce F_direct
+        exactly, which shares no code with that builder."""
         if N > self.P.order:
             raise UsageError(f"order {N} exceeds the stored head order {self.P.order}")
-        factor = TruncSeries(self.tail_factor.coeffs, N)
         head = TruncSeries(self.P.coeffs[:N + 1], N)
-        return head + factor * pentagonal_tail(self.k, N)
+        return head + _backsolved(self.k, N, lo=p1(self.tail_start_n))
 
 
 def pentagonal_tail(k: int, N: int) -> TruncSeries:
     """The signed pentagonal tail T(q) of the k-th split, truncated at N:
     the terms of (q;q)_inf from p1(ns) on, times (-1)^k, shifted down by
     q^shift."""
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
     ns = k * (k - 1) // 2 + 1
     shift = k * (k + 1) // 2
     first = p1(ns)
@@ -209,7 +211,10 @@ def pentagonal_tail(k: int, N: int) -> TruncSeries:
 def tail_split(k: int, N: int) -> TailSplit:
     """Split F_k at the pentagonal index where gaps outgrow deg (q;q)_{k-1}.
 
-    Needs k >= 2 and N large enough to see at least two tail terms.
+    The head P is the backsolved sum over the pentagonal terms below
+    p1(ns) alone.  Their copies of (q;q)_{k-1} end below q^(p1(ns)-shift),
+    since p1(ns) - p2(ns-1) = 2ns - 1 exceeds its degree.  Needs k >= 2
+    and N large enough to see at least two tail terms.
     """
     if k < 2:
         raise UsageError(f"tail_split needs k >= 2, got {k}")
@@ -219,15 +224,8 @@ def tail_split(k: int, N: int) -> TailSplit:
         raise UsageError(
             f"order {N} too small; need at least {p1(ns + 2) - shift} "
             f"to expose two tail terms for k={k}")
-    factor_full = qq_poly(k - 1)
-    factor_n = TruncSeries(factor_full.coeffs, N)
-    head = F_backsolve(k, N) - factor_n * pentagonal_tail(k, N)
-    first_tail_exp = p1(ns) - shift
-    if head.degree() >= first_tail_exp:
-        raise RuntimeError(
-            f"tail split for k={k} left head terms at or past q^{first_tail_exp}")
-    return TailSplit(k=k, P=head, tail_factor=factor_full,
-                     tail_start_n=ns, shift=shift)
+    return TailSplit(k=k, P=_backsolved(k, N, hi=p1(ns)),
+                     tail_factor=qq_poly(k - 1), tail_start_n=ns, shift=shift)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from qbloch.classify import (Budget, ClassRecord, build_s_table,
                              poch_class, s_cutoff, shat_bound, window_check,
                              window_detail, window_sweep)
 from qbloch.cli import main
+from qbloch.closed_form import first_appearance
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
 from qbloch.series import _carried_products, pochhammer
@@ -40,6 +41,13 @@ def test_cutoff_closed_form():
     assert [s_cutoff(h) for h in (1, 2, 3)] == [69, 116, 175]
     with pytest.raises(UsageError):
         s_cutoff(0)
+
+
+def test_cutoff_is_the_first_appearance_of_h_plus_3():
+    # the S lemma: past s_cutoff(h), magnitude h+3 of (q^3;q)_inf sits at an
+    # index below s = m+1, where it lifts a coefficient of (q;q)_m above h
+    for h in list(range(1, 3001)) + [10 ** 40, 10 ** 100]:
+        assert s_cutoff(h) == first_appearance(h + 3), h
 
 
 def test_shat_bound_closed_form():

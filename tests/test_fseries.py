@@ -1,17 +1,19 @@
 """The F_k family: direct sums, recurrences, tail splits, corrections."""
 
 import functools
+from operator import add, sub
 
 import pytest
 
 from qbloch import fseries
+from qbloch.classify import shat_bound
 from qbloch.errors import UsageError
 from qbloch.fseries import (CorrectionPoly, NoCorrectionError, F_backsolve,
                             F_direct, correction, eden_series,
                             f1_base_identity_check, one_mod_k_identity_check,
                             pentagonal_tail, recurrence_check, tail_split)
 from qbloch.pentagonal import p1, p2, pnt_series
-from qbloch.series import TruncSeries, qq_poly
+from qbloch.series import TruncSeries, _mul_one_minus, qq_poly
 
 # heads and first tail terms in F_k coordinates (the shifted forms divided
 # through by q^(k(k+1)/2))
@@ -125,6 +127,16 @@ def test_tail_terms_sit_on_shifted_pentagonal_numbers():
         assert dict(tail.nonzero_items()) == expect
 
 
+def test_reconstruct_at_every_order_up_to_the_head():
+    # orders below deg (q;q)_{k-1} = k(k-1)/2 included, where the factor
+    # does not fit the order of the product
+    for k in range(2, 7):
+        split = tail_split(k, 500)
+        full = F_direct(k, None, 500).coeffs
+        for N in range(501):
+            assert split.reconstruct(N) == TruncSeries(full[:N + 1], N), (k, N)
+
+
 def test_tail_split_argument_checks():
     with pytest.raises(UsageError):
         tail_split(1, 100)
@@ -236,6 +248,10 @@ def test_argument_validation():
         F_direct(2, -1, 10)
     with pytest.raises(UsageError):
         eden_series(0, 10)
+    with pytest.raises(UsageError, match="got -5"):
+        F_backsolve(1, -5)
+    with pytest.raises(UsageError):
+        pentagonal_tail(0, 5)
     assert isinstance(correction(3), CorrectionPoly)
 
 
@@ -254,9 +270,51 @@ def test_backsolve_matches_direct_around_the_prefactor():
         F_backsolve(0, 10)
 
 
+def backsolved_by_binomials(k, N):
+    # the backsolved representation built in full: the pentagonal series
+    # times k-1 binomials, its finite terms cancelled below q^shift
+    shift = k * (k + 1) // 2
+    tail = pnt_series(N + shift).coeffs
+    for d in range(1, k):
+        _mul_one_minus(tail, d)
+    sign = 1 if k % 2 == 0 else -1
+    low = [sign * c for c in tail[:shift]]
+    term = [1]
+    for i in range(k):
+        if i > 0:
+            term.extend([0] * (k - i))
+            _mul_one_minus(term, k - i)
+        lo = (k - 1 - i) * (k - i) // 2
+        hi = lo + len(term)
+        low[lo:hi] = map(add if i % 2 == 0 else sub, low[lo:hi], term)
+    if any(low):
+        raise RuntimeError(
+            f"backsolve for k={k} left nonzero coefficients below q^{shift}")
+    return TruncSeries(tail[shift:] if sign == 1 else [-c for c in tail[shift:]], N)
+
+
+def test_backsolve_matches_the_binomial_construction():
+    for k in (13, 20, 25, 30):
+        N = shat_bound(k)
+        assert fseries._backsolved(k, N) == backsolved_by_binomials(k, N), k
+
+
+def test_backsolve_takes_the_slices_for_small_k(monkeypatch):
+    # the orders the Shat classification reads and the f targets of the
+    # expand benchmark are cheaper as slices of (q;q)_{k-1}
+    def refuse(*args):
+        raise AssertionError(f"direct sum taken for {args}")
+
+    monkeypatch.setattr(fseries, "_partial_sums", refuse)
+    for k in range(3, 31):
+        assert F_backsolve(k, shat_bound(k)).order == shat_bound(k)
+    for k, N in ((1, 4000), (3, 4000), (8, 5000)):
+        assert F_backsolve(k, N).order == N
+
+
 def test_backsolve_takes_the_direct_sum_for_large_k(monkeypatch):
     # past k ~ sqrt(N) the defining sum has few terms; the backsolved form
-    # would build pnt_series(N + k(k+1)/2) and is never entered
+    # would build (q;q)_{k-1}, of degree k(k-1)/2, and is never entered
     cases = [(100_000, 10), (2000, 100), (150, 4000)]
     expected = [F_direct(k, None, N) for k, N in cases]
     # F_direct runs the same loop, so check that route against the
