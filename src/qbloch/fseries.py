@@ -135,7 +135,7 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
     return _backsolved(k, N)
 
 
-def _backsolved(k: int, N: int, lo: int = 0, hi=None) -> TruncSeries:
+def _backsolved(k: int, N: int, lo: int = 0, hi=None, factor=None) -> TruncSeries:
     """F_k(q) modulo q^(N+1) through the backsolved representation
 
         q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
@@ -143,13 +143,17 @@ def _backsolved(k: int, N: int, lo: int = 0, hi=None) -> TruncSeries:
 
     divided by the q^(k(k+1)/2) prefactor.  Every finite term has degree at
     most k(k-1)/2, below the prefactor, so only the product is read: one slice
-    add of +-(q;q)_{k-1} for each pentagonal term (e, c) with e <= N + shift,
+    add of +-factor for each pentagonal term (e, c) with e <= N + shift,
     about sqrt(8(N + shift)/3) slices of min(k(k-1)/2, N) + 1 coefficients.
+    factor is the coefficient list of (q;q)_{k-1}, built here unless the
+    caller holds it; factor [1] places the bare signed terms (pentagonal_tail).
     Only the terms with lo <= e < hi are added, so that tail_split and
-    TailSplit.reconstruct can take the two sides of one exponent.
+    TailSplit.reconstruct can take the two sides of one exponent.  This is
+    the only loop that places shifted copies of pentagonal terms.
     """
     shift = k * (k + 1) // 2
-    factor = qq_poly(k - 1).coeffs
+    if factor is None:
+        factor = qq_poly(k - 1).coeffs
     sign = -1 if k % 2 else 1
     out = [0] * (N + 1)
     top = N + shift if hi is None else min(N + shift, hi - 1)
@@ -182,30 +186,23 @@ class TailSplit:
 
     def reconstruct(self, N: int) -> TruncSeries:
         """P + tail_factor * T at any order N up to P.order: P plus the
-        slices of +-tail_factor for the pentagonal terms from
-        p1(tail_start_n) on (_backsolved).  Must reproduce F_direct
-        exactly, which shares no code with that builder."""
+        slices of +-tail_factor, the stored (q;q)_{k-1}, for the pentagonal
+        terms from p1(tail_start_n) on (_backsolved).  Must reproduce
+        F_direct exactly, which shares no code with that builder."""
         if N > self.P.order:
             raise UsageError(f"order {N} exceeds the stored head order {self.P.order}")
         head = TruncSeries(self.P.coeffs[:N + 1], N)
-        return head + _backsolved(self.k, N, lo=p1(self.tail_start_n))
+        return head + _backsolved(self.k, N, lo=p1(self.tail_start_n),
+                                  factor=self.tail_factor.coeffs)
 
 
 def pentagonal_tail(k: int, N: int) -> TruncSeries:
     """The signed pentagonal tail T(q) of the k-th split, truncated at N:
     the terms of (q;q)_inf from p1(ns) on, times (-1)^k, shifted down by
-    q^shift."""
+    q^shift; _backsolved with the factor 1 in place of (q;q)_{k-1}."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    ns = k * (k - 1) // 2 + 1
-    shift = k * (k + 1) // 2
-    first = p1(ns)
-    sign = -1 if k % 2 else 1
-    coeffs = [0] * (N + 1)
-    for e, c in pnt_terms(N + shift):
-        if e >= first:
-            coeffs[e - shift] = sign * c
-    return TruncSeries(coeffs, N)
+    return _backsolved(k, N, lo=p1(k * (k - 1) // 2 + 1), factor=[1])
 
 
 def tail_split(k: int, N: int) -> TailSplit:
@@ -213,8 +210,9 @@ def tail_split(k: int, N: int) -> TailSplit:
 
     The head P is the backsolved sum over the pentagonal terms below
     p1(ns) alone.  Their copies of (q;q)_{k-1} end below q^(p1(ns)-shift),
-    since p1(ns) - p2(ns-1) = 2ns - 1 exceeds its degree.  Needs k >= 2
-    and N large enough to see at least two tail terms.
+    since p1(ns) - p2(ns-1) = 2ns - 1 exceeds its degree.  (q;q)_{k-1} is
+    built once, for P, and stored as tail_factor for reconstruct.  Needs
+    k >= 2 and N large enough to see at least two tail terms.
     """
     if k < 2:
         raise UsageError(f"tail_split needs k >= 2, got {k}")
@@ -224,8 +222,9 @@ def tail_split(k: int, N: int) -> TailSplit:
         raise UsageError(
             f"order {N} too small; need at least {p1(ns + 2) - shift} "
             f"to expose two tail terms for k={k}")
-    return TailSplit(k=k, P=_backsolved(k, N, hi=p1(ns)),
-                     tail_factor=qq_poly(k - 1), tail_start_n=ns, shift=shift)
+    factor = qq_poly(k - 1)
+    return TailSplit(k=k, P=_backsolved(k, N, hi=p1(ns), factor=factor.coeffs),
+                     tail_factor=factor, tail_start_n=ns, shift=shift)
 
 
 @dataclass(frozen=True)

@@ -146,29 +146,30 @@ class TruncSeries:
             raise UsageError(f"index {t} outside truncation order {self.order}")
         return self.coeffs[t]
 
+    def _upto(self, upto) -> int:
+        """upto, defaulting to the order; outside [0, order] a usage error."""
+        if upto is None:
+            return self.order
+        if not 0 <= upto <= self.order:
+            raise UsageError(f"index {upto} outside truncation order {self.order}")
+        return upto
+
     def max_abs(self, upto=None):
         """Largest |coefficient| on [0, upto] and the smallest exponent attaining it.
 
         Returns (0, 0) for the zero series.
         """
-        if upto is None:
-            upto = self.order
-        if not 0 <= upto <= self.order:
-            raise UsageError(f"index {upto} outside truncation order {self.order}")
-        best, witness = 0, 0
-        for t in range(upto + 1):
-            v = abs(self.coeffs[t])
-            if v > best:
-                best, witness = v, t
-        return best, witness
+        head = self.coeffs[:self._upto(upto) + 1]
+        top, bottom = max(head), -min(head)
+        if top > bottom:
+            return top, head.index(top)
+        if bottom > top:
+            return bottom, head.index(-bottom)
+        return top, min(head.index(top), head.index(-top))
 
     def is_bloch_polya(self, upto=None) -> bool:
         """True iff every coefficient on [0, upto] lies in {-1, 0, 1}."""
-        if upto is None:
-            upto = self.order
-        if not 0 <= upto <= self.order:
-            raise UsageError(f"index {upto} outside truncation order {self.order}")
-        return all(-1 <= v <= 1 for v in self.coeffs[:upto + 1])
+        return all(-1 <= v <= 1 for v in self.coeffs[:self._upto(upto) + 1])
 
     def degree(self) -> int:
         """Largest exponent with a nonzero coefficient, or -1 for the zero series."""
@@ -275,21 +276,18 @@ def _qq_horner(m: int, T: int) -> list:
 
         (q;q)_m = P + q^s/(1-q) (P + q^s/(1-q^2) (... (P + q^s/(1-q^K) P))).
 
-    P is read as its O(sqrt T) pentagonal terms, pnt_terms(T).  The
-    innermost P is laid out below q^(T+1-Ks) only, and each step k = K..1
-    divides by (1 - q^k), shifts by q^s and adds the terms of P: one pass
-    over T + 1 - (k-1)s coefficients, about K*T/2 updates in all.  pochhammer reads at most half the degree,
-    T <= m(m+1)/4, so K <= m/4; carrying the m factors costs about m*T/2.
+    The innermost P is read below q^(T+1-Ks) only, so it is laid out by
+    pnt_series(T - Ks); each step k = K..1 divides by (1 - q^k), shifts by q^s and
+    adds the O(sqrt T) terms of P, pnt_terms(T): one pass over
+    T + 1 - (k-1)s coefficients, about K*T/2 updates in all.  pochhammer
+    reads at most half the degree, T <= m(m+1)/4, so K <= m/4; carrying
+    the m factors costs about m*T/2.
     """
-    from .pentagonal import pnt_terms  # pentagonal imports this module
+    from .pentagonal import pnt_series, pnt_terms  # pentagonal imports this module
     s = m + 1
     K = T // s
     terms = pnt_terms(T)
-    coeffs = [0] * (T - K * s + 1)
-    for e, c in terms:
-        if e >= len(coeffs):
-            break
-        coeffs[e] = c
+    coeffs = pnt_series(T - K * s).coeffs
     for k in range(K, 0, -1):
         _div_one_minus(coeffs, k)
         coeffs[:0] = [0] * s

@@ -84,6 +84,21 @@ def test_cli_reaches_the_pentagonal_series_only_through_its_terms():
     assert ("pentagonal", "module") not in package_imports("cli")
 
 
+def functions_naming(module, name):
+    """The functions (methods included) of module whose body reads name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(sub, ast.Name) and sub.id == name
+                    for sub in ast.walk(node))}
+
+
+def test_fseries_places_pentagonal_terms_in_one_loop():
+    # every shifted +-factor copy of a pentagonal term, the bare tail
+    # included, goes through _backsolved
+    assert functions_naming("fseries", "pnt_terms") == {"_backsolved"}
+
+
 #: Every module outside the package that src/qbloch imports.  A cold start,
 #: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
 #: one is a deliberate edit here.

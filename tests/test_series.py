@@ -109,6 +109,11 @@ def test_dense_readers_match_their_plain_definitions():
             head = ", ".join(f"{v}*q^{t}" for t, v in items[:6])
             more = "" if len(items) <= 6 else ", ..."
             assert repr(s) == f"TruncSeries({head or '0'}{more}; order={order})"
+            for upto in range(order + 1):
+                best = max(abs(v) for v in coeffs[:upto + 1])
+                witness = min(t for t in range(upto + 1) if abs(coeffs[t]) == best)
+                assert s.max_abs(upto) == (best, witness), (order, upto)
+                assert s.is_bloch_polya(upto) == (best <= 1), (order, upto)
 
 
 def test_known_pochhammer_polynomials():
