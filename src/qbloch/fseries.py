@@ -10,11 +10,10 @@ is possible (k = 1, 2, 3, 4, 6 and no other k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import add, sub
 
 from .errors import UsageError
-from .pentagonal import p1, pnt_terms
+from .pentagonal import _pentagonal_floor, p1, pnt_terms
 from .series import TruncSeries, _mul_one_minus, pochhammer, qq_poly
 
 
@@ -126,10 +125,12 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
         raise UsageError(f"order must be non-negative, got {N}")
     degree = k * (k - 1) // 2
     half = degree // 2
-    # coefficient updates per route, from each builder's loop bounds: one
-    # slice per pentagonal term to q^(N + shift), plus (q;q)_{k-1} built to
-    # half its degree (series._qq_horner), against the sum's N//k + 1 terms
-    slices = isqrt(8 * (N + degree + k) // 3) * (min(degree, N) + 1)
+    # coefficient updates per route, from each builder's loop bounds: the
+    # 2n + (family == 2) slices _backsolved adds, one per pentagonal term to
+    # q^(N + shift), plus (q;q)_{k-1} built to half its degree
+    # (series._qq_horner), against the sum's N//k + 1 terms
+    n, family = _pentagonal_floor(N + degree + k)
+    slices = (2 * n + (family == 2)) * (min(degree, N) + 1)
     if (N // k + 1) * (N + 1) < slices + half // k * half // 2:
         return TruncSeries(_partial_sums(k, None, N), N)
     return _backsolved(k, N)

@@ -2,9 +2,9 @@
 
 The two families p1(n) = n(3n-1)/2 and p2(n) = n(3n+1)/2 index the support
 of the series expansion of (q;q)_infinity, whose coefficient at p1(n) and
-p2(n) is (-1)^n.  Block location places an arbitrary-precision index inside
-the interval structure that the closed-form coefficient formulas use.  All
-integer work is exact; math.isqrt never introduces floating point.
+p2(n) is (-1)^n.  _pentagonal_floor, the one exact locator, places any
+integer among these exponents with one math.isqrt and no floating point;
+pentagonal_index, block location and F_backsolve's route cost read it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,18 @@ def pnt_series(N: int) -> TruncSeries:
     return series
 
 
+def _pentagonal_floor(x: int):
+    """(n, family) of the largest generalized pentagonal number <= x, x >= 0.
+
+    With r = isqrt(24x + 1), n = (r + 1) // 6 is exactly the largest n with
+    p1(n) <= x: p1(n) <= x iff (6n - 1)^2 <= 24x + 1 iff 6n - 1 <= r.  The
+    next exponent is p2(n) = p1(n) + n, so family is 2 if p2(n) <= x and 1
+    otherwise; x = 0 gives (0, 2).  pnt_terms(x) has 2n + (family == 2) terms.
+    """
+    n = (isqrt(24 * x + 1) + 1) // 6
+    return n, 2 if p1(n) + n <= x else 1
+
+
 def pentagonal_index(e: int):
     """Inverse lookup: (n, family) with p_family(n) == e, or None.
 
@@ -66,15 +78,8 @@ def pentagonal_index(e: int):
         return None
     if e == 0:
         return (0, 1)
-    disc = 24 * e + 1
-    r = isqrt(disc)
-    if r * r != disc:
-        return None
-    if r % 6 == 5:
-        return ((r + 1) // 6, 1)
-    if r % 6 == 1:
-        return ((r - 1) // 6, 2)
-    return None
+    n, family = _pentagonal_floor(e)
+    return (n, family) if (p1 if family == 1 else p2)(n) == e else None
 
 
 @dataclass(frozen=True)
@@ -101,25 +106,11 @@ class PentaBlock:
         return index <= self.upper if self.upper_closed else index < self.upper
 
 
-def _block_index(x: int, b: int) -> int:
-    """Largest n >= 0 with 6n^2 + bn <= x, exactly, for x >= 0 and b = +-1.
-
-    isqrt seeds the answer; the correction loops run at most one step in
-    practice and are exact regardless.
-    """
-    n = (isqrt(24 * x + 1) - b) // 12
-    while 6 * (n + 1) * (n + 1) + b * (n + 1) <= x:
-        n += 1
-    while n > 0 and 6 * n * n + b * n > x:
-        n -= 1
-    return n
-
-
 def _locate_by_bisection(pred) -> int:
     """Largest n >= 0 with pred(n), for monotone pred true at 0.
 
-    Reference path: doubling then binary search, no seeding.  Used by tests
-    to cross-check the isqrt-seeded locators.
+    Reference path: doubling then binary search, no isqrt.  Used by tests
+    to cross-check the exact locator, _pentagonal_floor.
     """
     if not pred(0):
         raise UsageError("predicate must hold at n=0")
@@ -136,20 +127,25 @@ def _locate_by_bisection(pred) -> int:
     return lo
 
 
+#: The sub-interval of an a-block by (top % 2, family), as in locate_block_a.
+_A_FAMILIES = {(0, 2): "plus-run", (1, 1): "zero-gap",
+               (1, 2): "minus-run", (0, 1): "zero-tail"}
+
+
 def locate_block_a(j: int) -> PentaBlock:
-    """The unique block with p2(2n) <= j < p2(2n+2), plus its sub-interval."""
+    """The unique block with p2(2n) <= j < p2(2n+2), plus its sub-interval.
+
+    (q^2;q)_inf = (q;q)_inf / (1 - q), so a_j is the running sum of the
+    pentagonal series up to q^j: its block and its value depend only on the
+    largest pentagonal exponent p_family(top) <= j.  The sub-intervals open
+    at p2(2n), p1(2n+1), p2(2n+1) and p1(2n+2), so (top % 2, family) names
+    the one j falls in with no comparisons.
+    """
     if j < 0:
         raise UsageError(f"index must be non-negative, got {j}")
-    n = _block_index(j, 1)  # p2(2n) = 6n^2 + n
-    if j < p1(2 * n + 1):
-        family = "plus-run"
-    elif j < p2(2 * n + 1):
-        family = "zero-gap"
-    elif j < p1(2 * n + 2):
-        family = "minus-run"
-    else:
-        family = "zero-tail"
-    return PentaBlock(n=n, kind="a", family=family,
+    top, family = _pentagonal_floor(j)
+    n = (top - (family == 1)) // 2
+    return PentaBlock(n=n, kind="a", family=_A_FAMILIES[top % 2, family],
                       lower=p2(2 * n), upper=p2(2 * n + 2), upper_closed=False)
 
 
@@ -157,7 +153,7 @@ def locate_block_b(i: int) -> PentaBlock:
     """The unique block with p1(2n)-2 <= i <= p1(2n+2)-3, plus its sub-interval."""
     if i < 0:
         raise UsageError(f"index must be non-negative, got {i}")
-    n = _block_index(i + 2, -1)  # p1(2n) - 2 = 6n^2 - n - 2
+    n = _pentagonal_floor(i + 2)[0] // 2  # the largest n with p1(2n) <= i + 2
     if i <= p2(2 * n) - 1:
         family = "low-plateau"
     elif i <= p1(2 * n + 1) - 2:

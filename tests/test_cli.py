@@ -2,13 +2,16 @@
 for the random-argv contract test, which calls main in-process."""
 
 import hashlib
+import importlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,18 @@ def test_console_script_installed():
     via_module = run_cli("expand", "pnt", "12")
     assert proc.returncode == 0
     assert proc.stdout == via_module.stdout
+
+
+def test_console_script_entry_point_names_main():
+    # checked without an install: pyproject's [project.scripts] line must
+    # name the main that `python -m qbloch.cli` runs (read with a regex,
+    # since tomllib needs Python 3.11 and the package supports 3.10)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    found = re.findall(r'^qbloch = "([\w.]+):(\w+)"$',
+                       pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert found == [("qbloch.cli", "main")]
+    module, name = found[0]
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def product_reference(exponents, N):

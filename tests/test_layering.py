@@ -99,6 +99,14 @@ def test_fseries_places_pentagonal_terms_in_one_loop():
     assert functions_naming("fseries", "pnt_terms") == {"_backsolved"}
 
 
+def test_one_pentagonal_locator_takes_the_square_root():
+    # pentagonal_index, both block locators and F_backsolve's slice count
+    # place x among the pentagonal exponents through _pentagonal_floor
+    named = {(path.stem, function) for path in SRC.glob("*.py")
+             for function in functions_naming(path.stem, "isqrt")}
+    assert named == {("pentagonal", "_pentagonal_floor")}
+
+
 #: Every module outside the package that src/qbloch imports.  A cold start,
 #: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
 #: one is a deliberate edit here.

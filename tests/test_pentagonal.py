@@ -6,8 +6,8 @@ import tracemalloc
 import pytest
 
 from qbloch.errors import UsageError
-from qbloch.pentagonal import (PentaBlock, _locate_by_bisection, gap_check,
-                               locate_block_a, locate_block_b, p1, p2,
+from qbloch.pentagonal import (PentaBlock, _locate_by_bisection, _pentagonal_floor,
+                               gap_check, locate_block_a, locate_block_b, p1, p2,
                                pentagonal_index, pnt_series, pnt_terms)
 from qbloch.series import pochhammer
 
@@ -67,6 +67,25 @@ def test_pentagonal_index_round_trip():
     for e in range(p1(299)):
         got = pentagonal_index(e)
         assert (got is not None) == (e in support)
+
+
+def test_pentagonal_floor_is_the_last_term_up_to_x():
+    for x in range(20_001):
+        terms = pnt_terms(x)
+        n, family = _pentagonal_floor(x)
+        assert terms[-1] == ((p1 if family == 1 else p2)(n), (-1) ** n), x
+        assert 2 * n + (family == 2) == len(terms), x
+    assert _pentagonal_floor(0) == (0, 2)
+
+
+def test_pentagonal_floor_against_bisection():
+    rng = random.Random(24)
+    for _ in range(2000):
+        n = rng.randrange(1, 10 ** rng.randint(1, 60))
+        for x in (p1(n) - 1, p1(n), p2(n) - 1, p2(n)):
+            top = _locate_by_bisection(lambda m: p1(m) <= x)
+            family = 2 if p2(top) <= x else 1
+            assert _pentagonal_floor(x) == (top, family), x
 
 
 def test_block_location_against_bisection():
