@@ -14,7 +14,7 @@ from operator import add, sub
 
 from .errors import UsageError
 from .pentagonal import _pentagonal_floor, p1, pnt_terms
-from .series import TruncSeries, _mul_one_minus, pochhammer, qq_poly
+from .series import TruncSeries, _carried_products, pochhammer, qq_poly
 
 
 class NoCorrectionError(Exception):
@@ -38,7 +38,8 @@ _CORRECTIONS = {
 def F_direct(k: int, M, N: int) -> TruncSeries:
     """F_{k,M}(q) modulo q^(N+1); M=None takes the limit (j stops at N//k).
 
-    The reference expansion of the defining sum, O(N^2 / k) work.
+    The reference expansion of the defining sum (_partial_sums): about
+    N^2/(2k) adds, plus each (q;q)_j multiplied only up to its degree.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -50,21 +51,17 @@ def F_direct(k: int, M, N: int) -> TruncSeries:
 def _partial_sums(k: int, M, N: int, first: int = 0, step: int = 1) -> list:
     """Coefficients to q^N of sum_{j <= M} q^(first+kj) (q;q^step)_j.
 
-    (q;q^step)_j is carried in one list across j.  Step j cuts it to the
-    coefficients still read, multiplies it by (1 - q^(1+(j-1)step)) in
-    place and adds it into the sum from q^(first+kj) on: about 2(N - kj)
-    updates for each of the N//k + 1 terms.
+    Term j <= (N - first)//k (none if N < first) adds N + 1 - (first + kj)
+    coefficients of (q;q^step)_j read from series._carried_products, cut
+    to them, so each product is multiplied only to its degree.  Its carry
+    stops at a factor past q^(N - first), whose term lies past q^N as step <= k.
     """
     out = [0] * (N + 1)
-    prod = [1] + [0] * N
-    j = 0
-    while first + k * j <= N and (M is None or j <= M):
+    terms = (N - first) // k if M is None else min((N - first) // k, M)
+    for j, prod in zip(range(terms + 1), _carried_products(1, step, terms, N - first)):
         base = first + k * j
         del prod[N + 1 - base:]
-        if j > 0:
-            _mul_one_minus(prod, 1 + (j - 1) * step)
-        out[base:] = map(add, out[base:], prod)
-        j += 1
+        out[base:base + len(prod)] = map(add, out[base:base + len(prod)], prod)
     return out
 
 
@@ -115,9 +112,9 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
 
     While (q;q)_{k-1} is small against N this is the backsolved
     representation (_backsolved): about sqrt(N + k^2) slices of k^2/2
-    coefficients.  For larger k the defining sum has only N//k + 1 terms
-    and costs less; it is taken then, so the work never exceeds O(N^1.5)
-    whatever k is.  Must agree with F_direct.
+    coefficients.  From about k^2 = 0.65 N on the defining sum, N//k + 1
+    terms of N + 1 - kj coefficients, costs less; it is taken then, so the
+    work never exceeds O(N^1.5) whatever k is.  Must agree with F_direct.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -128,10 +125,11 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
     # coefficient updates per route, from each builder's loop bounds: the
     # 2n + (family == 2) slices _backsolved adds, one per pentagonal term to
     # q^(N + shift), plus (q;q)_{k-1} built to half its degree
-    # (series._qq_horner), against the sum's N//k + 1 terms
+    # (series._qq_horner), against N + 1 - kj for each term j <= N//k of the sum
     n, family = _pentagonal_floor(N + degree + k)
     slices = (2 * n + (family == 2)) * (min(degree, N) + 1)
-    if (N // k + 1) * (N + 1) < slices + half // k * half // 2:
+    terms = N // k + 1
+    if terms * (N + 1) - k * terms * (terms - 1) // 2 < slices + half // k * half // 2:
         return TruncSeries(_partial_sums(k, None, N), N)
     return _backsolved(k, N)
 

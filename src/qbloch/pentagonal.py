@@ -169,10 +169,8 @@ def locate_block_b(i: int) -> PentaBlock:
 
 
 def gap_check(M: int, n_max: int) -> bool:
-    """True iff p2(n)-p1(n) > M and p1(n+1)-p2(n) > M for all M < n <= n_max."""
+    """True iff p2(n)-p1(n) > M and p1(n+1)-p2(n) > M for all M < n <= n_max:
+    the gaps n and 2n + 1 grow with n, so n = M + 1 decides them all."""
     if M < 1 or n_max < 1:
         raise UsageError("gap_check needs positive M and n_max")
-    for n in range(M + 1, n_max + 1):
-        if p2(n) - p1(n) <= M or p1(n + 1) - p2(n) <= M:
-            return False
-    return True
+    return n_max <= M or (p2(M + 1) - p1(M + 1) > M and p1(M + 2) - p2(M + 1) > M)

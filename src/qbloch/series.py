@@ -248,10 +248,12 @@ def _carried_products(start: int, step: int, L: int, T: int):
     """The product of the first i factors (1 - q^(start + step*j)), j < i,
     modulo q^(T+1), yielded for i = 0, 1, ..., L.
 
-    The coefficients live in one list, multiplied in place and only ever
-    min(T, degree so far) + 1 long, so every yield is that same list: read
-    it before advancing.  The sweep ends at the first factor past q^T,
-    which cannot reach the kept coefficients.
+    The coefficients live in one list, multiplied in place and at most
+    min(T, degree so far) + 1 long; every yield is that list, read it
+    before advancing.  A reader may shorten it, never lengthen it: it is
+    extended only while it holds the whole product, so a cut stays and
+    later yields are exact on the kept prefix.  The sweep ends at the
+    first factor past q^T, which cannot reach the kept coefficients.
     """
     coeffs = [1]
     degree = 0
@@ -259,8 +261,9 @@ def _carried_products(start: int, step: int, L: int, T: int):
     for d in range(start, start + step * L, step):
         if d > T:
             return
+        if len(coeffs) == degree + 1:
+            coeffs.extend([0] * (min(T, degree + d) - degree))
         degree += d
-        coeffs.extend([0] * (min(T, degree) + 1 - len(coeffs)))
         _mul_one_minus(coeffs, d)
         yield coeffs
 

@@ -1,6 +1,7 @@
 """The F_k family: direct sums, recurrences, tail splits, corrections."""
 
 import functools
+import random
 from operator import add, sub
 
 import pytest
@@ -341,3 +342,50 @@ def test_backsolve_takes_the_direct_sum_for_large_k(monkeypatch):
     monkeypatch.setattr(fseries, "_backsolved", refuse)
     assert [F_backsolve(k, N) for k, N in cases] == expected
     assert F_backsolve(100_000, 10).coeffs == [1] + [0] * 10
+
+
+def partial_sums_by_full_carry(k, M, N, first=0, step=1):
+    # the defining sum with (q;q^step)_j carried at full length N + 1 from
+    # the start and cut per term, every zero past its degree multiplied too
+    out = [0] * (N + 1)
+    prod = [1] + [0] * N
+    j = 0
+    while first + k * j <= N and (M is None or j <= M):
+        base = first + k * j
+        del prod[N + 1 - base:]
+        if j > 0:
+            _mul_one_minus(prod, 1 + (j - 1) * step)
+        out[base:] = map(add, out[base:], prod)
+        j += 1
+    return out
+
+
+def test_partial_sums_against_the_full_length_carry():
+    # random (k, M, N, first, step) with step 1 or k, plus the edges M = 0,
+    # N = 0 and N < first, where the sum is N + 1 zeros
+    rng = random.Random(25)
+    cases = [(k, M, N, first, step)
+             for k in (1, 2, 5) for M in (None, 0, 3) for N in (0, 1, 4)
+             for first in (0, 1, 6) for step in {1, k}]
+    for _ in range(1500):
+        k = rng.randint(1, 16)
+        cases.append((k, rng.choice([None, 0, rng.randint(0, 40)]), rng.randint(0, 250),
+                      rng.randint(0, 30), rng.choice([1, k])))
+    for k, M, N, first, step in cases:
+        got = fseries._partial_sums(k, M, N, first, step)
+        assert got == partial_sums_by_full_carry(k, M, N, first, step), (k, M, N, first, step)
+        if N < first:
+            assert got == [0] * (N + 1)
+
+
+def test_backsolve_takes_the_sum_past_the_priced_tie(monkeypatch):
+    # the sum adds N + 1 - kj coefficients for term j and is priced so; at
+    # these pairs, past k^2 = 0.65 N, it beats the slices of (q;q)_{k-1}
+    cases = [(173, 30310), (229, 53241), (90, 10000)]
+    expected = [TruncSeries(partial_sums_by_full_carry(k, None, N), N) for k, N in cases]
+
+    def refuse(k, N):
+        raise AssertionError(f"backsolved route taken for k={k}, N={N}")
+
+    monkeypatch.setattr(fseries, "_backsolved", refuse)
+    assert [F_backsolve(k, N) for k, N in cases] == expected

@@ -107,6 +107,14 @@ def test_one_pentagonal_locator_takes_the_square_root():
     assert named == {("pentagonal", "_pentagonal_floor")}
 
 
+def test_one_loop_carries_a_product_of_binomials():
+    # F_direct's sum and the one-mod-k identity read their products from
+    # series._carried_products, the only caller of the in-place binomial
+    named = {(path.stem, function) for path in SRC.glob("*.py")
+             for function in functions_naming(path.stem, "_mul_one_minus")}
+    assert named == {("series", "_carried_products")}
+
+
 #: Every module outside the package that src/qbloch imports.  A cold start,
 #: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
 #: one is a deliberate edit here.

@@ -23,6 +23,23 @@ def test_gap_growth_large_sweep():
     assert gap_check(100, 10 ** 6)
 
 
+def gap_check_by_loop(M, n_max):
+    # every n of the range checked on its own
+    for n in range(M + 1, n_max + 1):
+        if p2(n) - p1(n) <= M or p1(n + 1) - p2(n) <= M:
+            return False
+    return True
+
+
+def test_gap_check_against_the_loop():
+    for M in range(1, 31):
+        for n_max in range(1, 61):
+            assert gap_check(M, n_max) == gap_check_by_loop(M, n_max), (M, n_max)
+    for M, n_max in ((0, 5), (5, 0), (-1, -1)):
+        with pytest.raises(UsageError):
+            gap_check(M, n_max)
+
+
 def test_pnt_series_equals_product():
     N = 10 ** 4
     assert pnt_series(N) == pochhammer(1, 1, None, N)

@@ -255,6 +255,22 @@ def carried_pochhammer(m, N):
     return coeffs + [0] * (N + 1 - len(coeffs))
 
 
+def test_carried_products_honour_a_reader_cut():
+    # a reader that shortens the shared list sees the uncut products on the
+    # kept prefix, and the list never grows back past the cut
+    rng = random.Random(25)
+    for start, step, L, T in ((1, 1, 30, 200), (1, 3, 12, 150), (2, 1, 20, 60),
+                              (1, 1, 8, 10), (4, 4, 9, 0)):
+        uncut = [list(coeffs) for coeffs in _carried_products(start, step, L, T)]
+        cut = None
+        for i, coeffs in enumerate(_carried_products(start, step, L, T)):
+            assert coeffs == uncut[i][:cut], (start, step, L, T, i)
+            if len(coeffs) > 1 and rng.random() < 0.3:
+                cut = rng.randint(1, len(coeffs) - 1)
+                del coeffs[cut:]
+        assert i == len(uncut) - 1
+
+
 def test_q_factorial_against_naive_and_carried_routes():
     # (q;q)_m is built from (q;q)_inf and its tail; both references
     # multiply the m factors in, one with no degree tracking at all
