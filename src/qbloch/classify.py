@@ -5,9 +5,10 @@ the cut-off (h+2)(6h+17) provably exceeds h, so a finite sweep settles each
 row.  The sweep is witness first: one exact coefficient above H rules m out,
 and only the m left over are expanded in full.  It reads the coefficients
 below q^(7(m+1)) at random from the tails (q^j;q)_inf, j <= 7, built once,
-since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf.  Shat_h classifies F_k
-the same way by height, scanned up to the sufficient bound
-(k-1)(3k^3-3k^2+10k-8)/8.  The window checks certify the inequalities
+since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf: first a fixed ladder of
+single coefficients, then, for the few m the ladder leaves, whole windows.
+Shat_h classifies F_k the same way by height, scanned up to the sufficient
+bound (k-1)(3k^3-3k^2+10k-8)/8.  The window checks certify the inequalities
 that make the S cut-offs work, reading their coefficients from tails the
 same way, and conjecture_scan reports (empirically, never as proof) on the
 observed shape of the S_h rows.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
 from .oracle import ENUM_LIMIT
-from .series import _tail_coeffs, _tails, pochhammer
+from .series import _tail_coeff, _tail_coeffs, _tails, pochhammer
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,19 @@ _WINDOW_ORDER = (3, 2, 4, 5, 6, 1)
 
 def _s_witness(tails: list, m: int, H: int):
     """An exponent where (q;q)_m has a coefficient outside [-H, H], read
-    exactly from the tails, or None if none turned up below q^(7(m+1))."""
+    exactly from the tails, or None if none turned up below q^(7(m+1)).
+
+    A ladder of single coefficients comes first: offsets s-1, s/2, s/4 and
+    3s/4 into windows 3, 5, 6 and 4, where the values run largest; the
+    first rung, q^(4s-1), grows like m/8 and alone settles most large m.
+    Only the m that no rung settles are scanned window by window.
+    """
     s = m + 1
-    # near 4s the coefficient grows like m/8: one sum of four terms settles
-    # most large m
-    probe = 4 * s - 1
-    if not -H <= _tail_coeffs(tails, s, probe, probe + 1)[0] <= H:
-        return probe
+    for offset in (s - 1, s // 2, s // 4, 3 * s // 4):
+        for j in (3, 5, 6, 4):
+            t = j * s + offset
+            if not -H <= _tail_coeff(tails, s, t) <= H:
+                return t
     for j in _WINDOW_ORDER:
         window = _tail_coeffs(tails, s, j * s, (j + 1) * s)
         if max(window) > H or min(window) < -H:
@@ -147,10 +154,11 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     so below q^(7s) each coefficient is a sum of at most 7 entries of the
     tails (q^j;q)_inf, j <= 7, built once for the whole sweep.  Every such
     coefficient is exact, so one of them outside [-H, H] settles m as a
-    non-member: the sweep probes q^(4s-1), then sums whole windows of s
-    coefficients.  Only the other m (in practice the members) are
-    classified in full by poch_class.  certificates[m] is the exponent that
-    settles m: the witness found in the tails, or poch_class's witness.
+    non-member: the sweep reads a ladder of 16 single coefficients, then
+    sums whole windows of s coefficients (see _s_witness).  Only the other
+    m (in practice the members) are classified in full by poch_class.
+    certificates[m] is the exponent that settles m: the witness found in
+    the tails, or poch_class's witness.
 
     The budget is asked for the order the sweep expands, the tails' top
     exponent 7(s_cutoff(H) + 1) - 1; each full classification is gated
@@ -236,7 +244,7 @@ def window_sweep(first: int, last: int, budget: Budget = DEFAULT_BUDGET) -> list
     tails = list(_tails([top + 1] * depth))
     records = []
     for m, (exponent, lo, hi) in windows.items():
-        value = _tail_coeffs(tails, m, exponent, exponent + 1)[0]
+        value = _tail_coeff(tails, m, exponent)
         records.append(WindowRecord(m=m, exponent=exponent, value=value,
                                     lo=lo, hi=hi, ok=lo <= value <= hi))
     return records

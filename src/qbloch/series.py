@@ -10,7 +10,7 @@ of decimal digits are fine.
 from __future__ import annotations
 
 from itertools import accumulate, compress, repeat
-from operator import add, sub
+from operator import add, getitem, sub
 
 from .errors import UsageError
 
@@ -314,7 +314,8 @@ def _tails(lengths):
 
         (q;q)_m = (q;q)_inf * sum_k q^(ks) / (q;q)_k = sum_k q^(ks) E_(k+1),
 
-    with s = m + 1: see _tail_coeffs, which reads list(_tails(...)).
+    with s = m + 1: see _tail_coeffs and _tail_coeff, which read
+    list(_tails(...)).
     """
     from .pentagonal import pnt_series  # pentagonal imports this module
     coeffs = pnt_series(lengths[0] - 1).coeffs
@@ -338,6 +339,17 @@ def _tail_coeffs(tails: list, s: int, lo: int, hi: int) -> list:
     for i in range(1, j + 1):
         out = list(map(add, out, tails[i][lo - i * s:hi - i * s]))
     return out
+
+
+def _tail_coeff(tails: list, s: int, t: int) -> int:
+    """The coefficient of q^t in (q;q)_(s-1), exactly, from _tails: the
+    one-term case of _tail_coeffs, sum_(i <= t/s) E_(i+1)[t - is].
+
+    t // s < len(tails) must hold, as for _tail_coeffs: map stops at the
+    shorter of tails and the exponents t, t - s, ..., so a missing tail
+    would drop its term instead of failing.
+    """
+    return sum(map(getitem, tails, range(t, -1, -s)))
 
 
 def qq_poly(m: int) -> TruncSeries:

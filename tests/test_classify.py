@@ -1,6 +1,7 @@
 """Classification tables, cut-offs, coefficient windows, conjecture scan."""
 
 import concurrent.futures
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from qbloch.cli import main
 from qbloch.closed_form import first_appearance
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
-from qbloch.series import _carried_products, pochhammer
+from qbloch.series import _carried_products, _tail_coeffs, pochhammer
 
 TABLE_S = {1: ((0, 1, 2, 3, 5), 69),
            2: ((4, 6, 7, 8, 9, 11), 116),
@@ -316,6 +317,56 @@ def test_s_sweep_expands_exactly_the_members(monkeypatch):
         table = build_s_table(H)
         members = sorted(m for ms, _c in table.rows.values() for m in ms)
         assert calls == members, H
+
+
+def window_only_s_witness(tails, m, H):
+    """The S sweep's witness search without the single-coefficient ladder:
+    one probe at q^(4s-1), then whole windows in _WINDOW_ORDER."""
+    s = m + 1
+    # near 4s the coefficient grows like m/8: one sum of four terms settles
+    # most large m
+    probe = 4 * s - 1
+    if not -H <= _tail_coeffs(tails, s, probe, probe + 1)[0] <= H:
+        return probe
+    for j in classify._WINDOW_ORDER:
+        window = _tail_coeffs(tails, s, j * s, (j + 1) * s)
+        if max(window) > H or min(window) < -H:
+            return j * s + next(i for i, c in enumerate(window) if not -H <= c <= H)
+    return None
+
+
+@pytest.mark.parametrize("H", [50, 74])
+def test_ladder_sweep_matches_the_window_only_sweep(monkeypatch, H):
+    # the ladder only settles non-members sooner: the same m reach
+    # poch_class, so rows, horizon and member certificates are unchanged
+    table = build_s_table(H)
+    monkeypatch.setattr(classify, "_s_witness", window_only_s_witness)
+    reference = build_s_table(H)
+    assert table.rows == reference.rows
+    assert table.horizon == reference.horizon
+    members = [m for ms, _c in table.rows.values() for m in ms]
+    assert [table.certificates[m] for m in members] == \
+        [reference.certificates[m] for m in members]
+    if H == 74:
+        # a non-member's certificate may move, but stays an exact witness
+        others = sorted(set(range(table.horizon + 1)) - set(members))
+        for m in random.Random(74).sample(others, 200):
+            t = table.certificates[m]
+            assert abs(pochhammer(1, 1, m, t).coeff(t)) > H, (m, t)
+
+
+def test_s_sweep_settles_non_members_before_whole_windows(monkeypatch):
+    # the window-only sweep sums 4,161 whole windows at H = 74; the ladder
+    # of single-coefficient reads leaves at most 600 of them
+    calls = []
+
+    def counted(tails, s, lo, hi):
+        calls.append(s)
+        return _tail_coeffs(tails, s, lo, hi)
+
+    monkeypatch.setattr(classify, "_tail_coeffs", counted)
+    build_s_table(74)
+    assert len(calls) <= 600
 
 
 def test_sweeps_never_carry_the_factors(monkeypatch, capsys):
