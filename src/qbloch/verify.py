@@ -5,6 +5,10 @@ passed, detail) tuples, passed a bool; the CLI only formats them.  A suite
 refuses a budget below its fixed sizes before any work and never shrinks a
 check under its name.  SUITES is the one list of suites, in CLI order.
 
+A suite reads each series from its builder (fseries.F_backsolve, not the
+O(N^2/k) defining sum).  The reference sum fseries.F_direct appears only in
+checks that compare a builder with it, all of them in the identities suite.
+
 Library functions are called through their modules (fseries.F_direct), never
 from-imported: the layer tracer in perfbench/tracing.py replaces functions
 only in the traced layers' namespaces and the package's, so a from-import
@@ -90,8 +94,10 @@ def _suite_corrections(budget) -> list:
                          "verify corrections")
     checks = []
     for k, horizon in corrected.items():
+        # F_k from its builder, F_backsolve; tests/test_fseries.py
+        # test_backsolve_matches_direct ties it to F_direct at these orders
         corr = fseries.correction(k).poly
-        diff = (fseries.F_direct(k, None, horizon)
+        diff = (fseries.F_backsolve(k, horizon)
                 - series.TruncSeries(corr.coeffs, horizon))
         checks.append((f"correction k={k} BP-to-{horizon}", diff.is_bloch_polya(), ""))
     for k in uncorrectable:

@@ -89,7 +89,9 @@ def test_one_mod_k_and_base_identities():
 
 
 def test_backsolve_matches_direct():
-    for k in range(1, 6):
+    # covers every F_k (k = 1, 2, 3, 4, 6) that verify corrections builds
+    # with F_backsolve at order 500
+    for k in range(1, 7):
         assert F_backsolve(k, 500) == F_direct(k, None, 500)
 
 

@@ -84,13 +84,32 @@ def test_cli_reaches_the_pentagonal_series_only_through_its_terms():
     assert ("pentagonal", "module") not in package_imports("cli")
 
 
-def functions_naming(module, name):
-    """The functions (methods included) of module whose body reads name."""
+def _functions_where(module, match):
+    """The functions (methods included) of module with a node in their body
+    for which match is true."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     return {node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(isinstance(sub, ast.Name) and sub.id == name
-                    for sub in ast.walk(node))}
+            and any(match(sub) for sub in ast.walk(node))}
+
+
+def functions_naming(module, name):
+    """The functions of module whose body reads the bare name."""
+    return _functions_where(
+        module, lambda sub: isinstance(sub, ast.Name) and sub.id == name)
+
+
+def functions_reading_attribute(module, attr):
+    """The functions of module whose body reads attr off some object
+    (x.attr), as the suites call fseries.F_direct through its module."""
+    return _functions_where(
+        module, lambda sub: isinstance(sub, ast.Attribute) and sub.attr == attr)
+
+
+def test_only_the_identities_suite_reads_the_reference_sum():
+    # every other suite builds its series with a builder; F_direct appears
+    # only where a check compares a builder with it
+    assert functions_reading_attribute("verify", "F_direct") == {"_suite_identities"}
 
 
 def test_fseries_places_pentagonal_terms_in_one_loop():

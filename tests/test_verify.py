@@ -95,3 +95,21 @@ def test_verify_failed_check_exits_one(capsys, monkeypatch):
     data = json.loads(out)["data"]
     assert data[0] == {"check": failed, "result": "fail", "detail": ""}
     assert all(record["result"] == "pass" for record in data[1:])
+
+
+def test_verify_corrections_builds_no_reference_sum(capsys, monkeypatch):
+    # the suite reads each F_k from F_backsolve; F_direct is left to the
+    # checks that compare a builder with it
+    def refuse(*args, **kw):
+        raise AssertionError("verify corrections called F_direct")
+    monkeypatch.setattr(fseries, "F_direct", refuse)
+
+    code, out = run_main(capsys, "verify", "corrections")
+    assert code == 0
+    assert out == tsv_text("corrections", GOLDEN_ROWS["corrections"])
+
+    code, out = run_main(capsys, "verify", "corrections", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["data"] == [
+        {"check": name, "result": result, "detail": detail}
+        for name, result, detail in GOLDEN_ROWS["corrections"]]
