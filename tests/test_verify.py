@@ -113,3 +113,22 @@ def test_verify_corrections_builds_no_reference_sum(capsys, monkeypatch):
     assert json.loads(out)["data"] == [
         {"check": name, "result": result, "detail": detail}
         for name, result, detail in GOLDEN_ROWS["corrections"]]
+
+
+def test_verify_identities_builds_each_reference_sum_once(capsys, monkeypatch):
+    # F_backsolve(k, 300) for k >= 2 is compared with the head of the
+    # order-500 sum the tail-split check builds anyway
+    calls = []
+    direct = fseries.F_direct
+
+    def recorded(*args):
+        calls.append(args)
+        return direct(*args)
+    monkeypatch.setattr(fseries, "F_direct", recorded)
+
+    code, out = run_main(capsys, "verify", "identities")
+    assert code == 0
+    assert out == tsv_text("identities", GOLDEN_ROWS["identities"])
+    assert len(set(calls)) == len(calls), calls
+    assert [k for k, M, N in calls if M is None and N == 300] == [1]
+    assert {k for k, M, N in calls if M is None and N == 500} == set(range(2, 7))
