@@ -189,8 +189,7 @@ def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     largest height seen.  Every k lands in some row: h(k) <= k holds up to
     k = 21, but h(22) = 24 and h(25) = 37, so rows can run past K.  Empty
     rows are kept so restrictions of the full table stay recognizable.  The
-    scan horizon K fills the cutoff slot, no per-row window bound exists
-    for F_k."""
+    cutoff slot holds the scan horizon K."""
     if K < 1:
         raise UsageError(f"K must be >= 1, got {K}")
     budget.require_order(shat_bound(K), f"build_shat_table({K})")

@@ -4,7 +4,9 @@ Covers direct expansion, the finite recurrence between consecutive k, the
 parts-1-mod-k identity, the backsolved representation through (q;q)_infinity,
 tail-splitting into head-polynomial-plus-pentagonal-tail form, and the finite
 correction polynomials that repair F_k to coefficients in {-1,0,1} where that
-is possible (k = 1, 2, 3, 4, 6 and no other k).
+is possible.  Past its head F_k is non-overlapping copies of +-(q;q)_{k-1},
+so a correction exists iff (q;q)_{k-1} has height 1, that is, iff
+k - 1 is in S_1 = {0, 1, 2, 3, 5}.
 """
 
 from __future__ import annotations
@@ -19,20 +21,6 @@ from .series import TruncSeries, _carried_products, pochhammer, qq_poly
 
 class NoCorrectionError(Exception):
     """Raised for k where no polynomial correction to {-1,0,1} coefficients exists."""
-
-
-#: Finite corrections, exponent -> coefficient.  k=1,2 need none; for k=5 and
-#: k >= 7 none exists because shifted copies of (q;q)_{k-1} recur in the tail
-#: with coefficients of magnitude >= 2.
-_CORRECTIONS = {
-    1: {},
-    2: {},
-    3: {9: 1},
-    4: {16: 1, 18: -1, 30: -1, 31: 1},
-    6: {29: 1, 32: -1, 36: 1, 38: -1, 43: 1, 45: -1, 50: 1, 56: -1, 57: 1,
-        58: 1, 62: -1, 63: -1, 64: 1, 71: 1, 80: -1, 81: -1, 84: 1, 85: 1,
-        106: 1, 110: -1, 239: -1, 241: 1, 280: 1, 281: -1},
-}
 
 
 def F_direct(k: int, M, N: int) -> TruncSeries:
@@ -228,26 +216,38 @@ def tail_split(k: int, N: int) -> TailSplit:
 
 @dataclass(frozen=True)
 class CorrectionPoly:
-    """Finite polynomial f with F_k - f of Bloch-Polya type."""
+    """Finite polynomial f with F_k - f of Bloch-Polya type: the clamp excess
+    of the tail_split head, c - sign(c) at every coefficient c with |c| > 1.
+    It is the correction with the least support."""
 
     k: int
     poly: TruncSeries
 
 
 def correction(k: int) -> CorrectionPoly:
-    """The correction polynomial for k in {1,2,3,4,6}; k=1,2 get the zero poly.
+    """The correction of F_k, derived from its head; k = 1, 2 get the zero poly.
 
-    For k=5 and k >= 7 no finite correction exists: the tail of F_k repeats
-    shifted copies of (q;q)_{k-1}, whose coefficients leave {-1,0,1}, beyond
-    any fixed degree.
+    A correction exists iff k - 1 is in S_1 = {0, 1, 2, 3, 5}: past its head
+    F_k repeats non-overlapping copies of +-(q;q)_{k-1} forever, so the head
+    alone can be repaired iff (q;q)_{k-1} has height 1.  Otherwise
+    NoCorrectionError names that height and its smallest witness exponent.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    if k not in _CORRECTIONS:
+    factor = qq_poly(k - 1)
+    height, witness = factor.max_abs()
+    if height >= 2:
         raise NoCorrectionError(
-            f"no polynomial correction exists for k={k}: magnitude >= 2 "
-            f"coefficients recur in the tail beyond any fixed degree")
-    terms = _CORRECTIONS[k]
+            f"no polynomial correction exists for k={k}: h((q;q)_{k - 1}) = {height} "
+            f"at q^{witness}, and the tail repeats its copies beyond any fixed degree")
+    # the head P of tail_split, below the first tail copy at q^(p1(ns) - shift);
+    # empty for k = 1
+    ns = k * (k - 1) // 2 + 1
+    shift = k * (k + 1) // 2
+    terms = {}
+    if k > 1:
+        head = _backsolved(k, p1(ns) - shift - 1, hi=p1(ns), factor=factor.coeffs)
+        terms = {e: c - (1 if c > 0 else -1) for e, c in head.nonzero_items() if abs(c) > 1}
     if not terms:
         return CorrectionPoly(k=k, poly=TruncSeries.zero(0))
     order = max(terms)

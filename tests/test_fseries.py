@@ -178,6 +178,48 @@ def test_corrections_verbatim():
             correction(k)
     with pytest.raises(UsageError):
         correction(0)
+    # a correction exists exactly where (q;q)_{k-1} has height 1
+    for k in range(1, 41):
+        if qq_poly(k - 1).max_abs()[0] >= 2:
+            with pytest.raises(NoCorrectionError):
+                correction(k)
+        else:
+            assert isinstance(correction(k), CorrectionPoly), k
+
+
+def test_correction_is_derived_from_the_factor_height(monkeypatch):
+    # (q;q)_5 given a coefficient -2 at q^1: copies of it in the tail would
+    # leave {-1, 0, 1} beyond any degree, so correction(6) must raise
+    def raised(m):
+        factor = qq_poly(m)
+        if m != 5:
+            return factor
+        coeffs = list(factor.coeffs)
+        coeffs[1] *= 2
+        return TruncSeries(coeffs, factor.order)
+
+    monkeypatch.setattr(fseries, "qq_poly", raised)
+    with pytest.raises(NoCorrectionError, match=r"h\(\(q;q\)_5\) = 2 at q\^1,"):
+        correction(6)
+
+
+def test_clamped_head_leaves_the_factor_height():
+    # past its head F_k is non-overlapping copies of +-(q;q)_{k-1}, so
+    # clamping the head to [-h, h], h the height of (q;q)_{k-1}, leaves F_k
+    # at height exactly h to shat_bound(k), which covers one full copy; at
+    # h = 1 that clamp excess is the correction
+    for k in range(1, 31):
+        h = qq_poly(k - 1).max_abs()[0]
+        N = shat_bound(k)
+        ns = k * (k - 1) // 2 + 1
+        shift = k * (k + 1) // 2
+        head = tail_split(k, p1(ns + 2) - shift).P.coeffs[:N + 1] if k > 1 else []
+        excess = TruncSeries([c - h if c > h else c + h if c < -h else 0 for c in head], N)
+        assert (F_backsolve(k, N) - excess).max_abs()[0] == h, k
+        if k <= 10:
+            assert (F_direct(k, None, N) - excess).max_abs()[0] == h, k
+        if h == 1:
+            assert excess == TruncSeries(correction(k).poly.coeffs, N), k
 
 
 def test_corrected_series_are_bloch_polya():
