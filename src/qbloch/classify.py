@@ -2,11 +2,10 @@
 
 S_h collects the m with max |coefficient of (q;q)_m| equal to h; every m past
 the cut-off (h+2)(6h+17) provably exceeds h, so a finite sweep settles each
-row.  The sweep is witness first: one exact coefficient above H rules m out,
-and only the m left over are expanded in full.  It reads the coefficients
-below q^(7(m+1)) at random from the tails (q^j;q)_inf, j <= 7, built once,
-since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf: first a fixed ladder of
-single coefficients, then, for the few m the ladder leaves, whole windows.
+row.  The sweep has two stages.  A fixed ladder of single coefficients below
+q^(7(m+1)), read at random from the tails (q^j;q)_inf, j <= 7, built once
+(since (q;q)_m = sum_k q^(k(m+1)) (q^(k+1);q)_inf), rules m out as soon as
+one exceeds H; every m the ladder leaves is expanded in full.
 Shat_h classifies F_k the same way by height, scanned up to the sufficient
 bound (k-1)(3k^3-3k^2+10k-8)/8.  The window checks certify the inequalities
 that make the S cut-offs work, reading their coefficients from tails the
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
 from .oracle import ENUM_LIMIT
-from .series import _tail_coeff, _tail_coeffs, _tails, pochhammer
+from .series import _tail_coeff, _tails, pochhammer
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,10 @@ class HTable:
     window cut-offs; kind 'Shat' classifies F_k with the scan horizon K
     standing in as every row's cutoff.  horizon is the last subject index
     the sweep examined.  For kind 'S', certificates[m] (m <= horizon) is the
-    exponent that settles m: for a non-member, an exponent where
-    |coefficient| > H (an exact witness, not necessarily the smallest one);
-    for a member, the smallest exponent attaining its height.  Kind 'Shat'
+    exponent that settles m: for a non-member the ladder settles, the rung
+    where |coefficient| > H (an exact witness, not necessarily the smallest
+    one); for every m the ladder leaves, member or not, poch_class's
+    witness, the smallest exponent attaining its height.  Kind 'Shat'
     leaves it empty."""
 
     kind: str
@@ -115,23 +115,19 @@ def eden_class(k: int, budget: Budget = DEFAULT_BUDGET) -> ClassRecord:
     return ClassRecord(kind='eden', index=k, h=h, witness=witness, bound_used=bound)
 
 
-#: The S sweep reads (q;q)_m below q^(_WINDOWS*(m+1)) from the tails
-#: (q^j;q)_inf, j <= _WINDOWS, in the windows [js, (j+1)s) named here, the
-#: one holding the largest values first.  Window 0 holds the pentagonal
-#: coefficients, all in {-1, 0, 1}, and is never read; in window 1 they are
-#: e_t + a_(t-s), at most 2 in size, so it comes last and matters at H = 1.
+#: The S sweep's ladder reads (q;q)_m below q^(_WINDOWS*(m+1)), from the
+#: tails (q^j;q)_inf, j <= _WINDOWS.
 _WINDOWS = 7
-_WINDOW_ORDER = (3, 2, 4, 5, 6, 1)
 
 
 def _s_witness(tails: list, m: int, H: int):
     """An exponent where (q;q)_m has a coefficient outside [-H, H], read
-    exactly from the tails, or None if none turned up below q^(7(m+1)).
+    exactly from the tails, or None if no rung of the ladder finds one.
 
-    A ladder of single coefficients comes first: offsets s-1, s/2, s/4 and
-    3s/4 into windows 3, 5, 6 and 4, where the values run largest; the
-    first rung, q^(4s-1), grows like m/8 and alone settles most large m.
-    Only the m that no rung settles are scanned window by window.
+    The ladder is 16 single coefficients: offsets s-1, s/2, s/4 and 3s/4
+    into windows [js, (j+1)s) for j = 3, 5, 6 and 4, where the values run
+    largest; the first rung, q^(4s-1), grows like m/8 and alone settles
+    most large m.  An m that no rung settles is left to poch_class.
     """
     s = m + 1
     for offset in (s - 1, s // 2, s // 4, 3 * s // 4):
@@ -139,10 +135,6 @@ def _s_witness(tails: list, m: int, H: int):
             t = j * s + offset
             if not -H <= _tail_coeff(tails, s, t) <= H:
                 return t
-    for j in _WINDOW_ORDER:
-        window = _tail_coeffs(tails, s, j * s, (j + 1) * s)
-        if max(window) > H or min(window) < -H:
-            return j * s + next(i for i, c in enumerate(window) if not -H <= c <= H)
     return None
 
 
@@ -154,11 +146,11 @@ def build_s_table(H: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     so below q^(7s) each coefficient is a sum of at most 7 entries of the
     tails (q^j;q)_inf, j <= 7, built once for the whole sweep.  Every such
     coefficient is exact, so one of them outside [-H, H] settles m as a
-    non-member: the sweep reads a ladder of 16 single coefficients, then
-    sums whole windows of s coefficients (see _s_witness).  Only the other
-    m (in practice the members) are classified in full by poch_class.
-    certificates[m] is the exponent that settles m: the witness found in
-    the tails, or poch_class's witness.
+    non-member: the sweep reads a ladder of 16 single coefficients (see
+    _s_witness).  Every m the ladder leaves, the members and a few
+    non-members (44 of the 79 at H = 74, none above m = 102), is
+    classified in full by poch_class.  certificates[m] is the exponent that
+    settles m: the rung found in the tails, or poch_class's witness.
 
     The budget is asked for the order the sweep expands, the tails' top
     exponent 7(s_cutoff(H) + 1) - 1; each full classification is gated

@@ -10,7 +10,7 @@ of decimal digits are fine.
 from __future__ import annotations
 
 from itertools import accumulate, compress, repeat
-from operator import add, getitem, sub
+from operator import getitem, sub
 
 from .errors import UsageError
 
@@ -314,8 +314,8 @@ def _tails(lengths):
 
         (q;q)_m = (q;q)_inf * sum_k q^(ks) / (q;q)_k = sum_k q^(ks) E_(k+1),
 
-    with s = m + 1: see _tail_coeffs and _tail_coeff, which read
-    list(_tails(...)).
+    with s = m + 1: see _tail_coeff, which reads list(_tails(...)) for the
+    S sweep's ladder and for window_sweep.
     """
     from .pentagonal import pnt_series  # pentagonal imports this module
     coeffs = pnt_series(lengths[0] - 1).coeffs
@@ -326,28 +326,14 @@ def _tails(lengths):
         yield coeffs
 
 
-def _tail_coeffs(tails: list, s: int, lo: int, hi: int) -> list:
-    """The coefficients of q^lo .. q^(hi-1) in (q;q)_(s-1), exactly, from
-    _tails; lo and hi - 1 lie in one window [js, (j+1)s) with j < len(tails).
-
-    There the coefficient of q^t is sum_(i <= j) E_(i+1)[t - is], so the
-    window costs j + 1 slices and j additions of hi - lo terms each;
-    E_(i+1) is read below (j - i + 1)s.
-    """
-    j = lo // s
-    out = tails[0][lo:hi]
-    for i in range(1, j + 1):
-        out = list(map(add, out, tails[i][lo - i * s:hi - i * s]))
-    return out
-
-
 def _tail_coeff(tails: list, s: int, t: int) -> int:
-    """The coefficient of q^t in (q;q)_(s-1), exactly, from _tails: the
-    one-term case of _tail_coeffs, sum_(i <= t/s) E_(i+1)[t - is].
+    """The coefficient of q^t in (q;q)_(s-1), exactly, from _tails:
+    sum_(i <= t/s) E_(i+1)[t - is], at most t/s + 1 terms, E_(i+1) read
+    below (t/s - i + 1)s.
 
-    t // s < len(tails) must hold, as for _tail_coeffs: map stops at the
-    shorter of tails and the exponents t, t - s, ..., so a missing tail
-    would drop its term instead of failing.
+    t // s < len(tails) must hold: map stops at the shorter of tails and
+    the exponents t, t - s, ..., so a missing tail would drop its term
+    instead of failing.
     """
     return sum(map(getitem, tails, range(t, -1, -s)))
 

@@ -14,7 +14,7 @@ from qbloch.cli import main
 from qbloch.closed_form import first_appearance
 from qbloch.errors import BudgetError, UsageError
 from qbloch.pentagonal import p1
-from qbloch.series import _carried_products, _tail_coeffs, pochhammer
+from qbloch.series import _carried_products, _tail_coeff, _tails, pochhammer
 
 TABLE_S = {1: ((0, 1, 2, 3, 5), 69),
            2: ((4, 6, 7, 8, 9, 11), 116),
@@ -302,9 +302,21 @@ def test_s_table_matches_the_carried_sweep(H, budget):
         assert table.certificates[m] == witness, (H, m)
 
 
-def test_s_sweep_expands_exactly_the_members(monkeypatch):
-    # every non-member is settled from the tails; the full expansion of
-    # poch_class is paid once per member and never for anything else
+#: H -> (non-members the ladder leaves to poch_class, the largest of them)
+LADDER_LEFTOVERS = {1: (6, 10), 2: (2, 12), 3: (1, 12), 4: (1, 16),
+                    5: (2, 18), 6: (1, 20), 7: (1, 20), 8: (0, None),
+                    74: (44, 102)}
+
+
+@pytest.mark.parametrize("H", list(LADDER_LEFTOVERS))
+def test_s_sweep_expands_exactly_what_the_ladder_leaves(monkeypatch, H):
+    # the full expansion of poch_class is paid once for each m no rung of
+    # the ladder settles: every member and a few small non-members, whose
+    # certificate is then poch_class's witness, a coefficient past H
+    horizon = s_cutoff(H)
+    tails = list(_tails([(7 - j) * (horizon + 1) for j in range(7)]))
+    left = [m for m in range(horizon + 1)
+            if classify._s_witness(tails, m, H) is None]
     calls = []
 
     def counted(m, budget=Budget()):
@@ -312,33 +324,47 @@ def test_s_sweep_expands_exactly_the_members(monkeypatch):
         return poch_class(m, budget)
 
     monkeypatch.setattr(classify, "poch_class", counted)
-    for H in range(1, 9):
-        calls.clear()
-        table = build_s_table(H)
-        members = sorted(m for ms, _c in table.rows.values() for m in ms)
-        assert calls == members, H
+    table = build_s_table(H)
+    assert calls == left
+    members = {m for ms, _c in table.rows.values() for m in ms}
+    others = [m for m in left if m not in members]
+    assert (len(others), max(others, default=None)) == LADDER_LEFTOVERS[H]
+    for m in others:
+        record = poch_class(m)
+        assert record.h > H, m
+        assert table.certificates[m] == record.witness, m
+
+
+@pytest.mark.parametrize("H", [1, 8, 50, 74])
+def test_s_sweep_runs_on_the_budget_it_asks_for(H):
+    # the largest m the ladder leaves to poch_class has degree far below the
+    # sweep's own gate, so no full expansion can exceed a budget the sweep
+    # was admitted under
+    build_s_table(H, Budget(max_order=7 * (s_cutoff(H) + 1) - 1))
 
 
 def window_only_s_witness(tails, m, H):
-    """The S sweep's witness search without the single-coefficient ladder:
-    one probe at q^(4s-1), then whole windows in _WINDOW_ORDER."""
+    """A witness search by whole windows instead of the ladder: one probe at
+    q^(4s-1), then the windows [js, (j+1)s), the one holding the largest
+    values first; window 0 holds the pentagonal coefficients, all in
+    {-1, 0, 1}, and window 1 comes last."""
     s = m + 1
     # near 4s the coefficient grows like m/8: one sum of four terms settles
     # most large m
     probe = 4 * s - 1
-    if not -H <= _tail_coeffs(tails, s, probe, probe + 1)[0] <= H:
+    if not -H <= _tail_coeff(tails, s, probe) <= H:
         return probe
-    for j in classify._WINDOW_ORDER:
-        window = _tail_coeffs(tails, s, j * s, (j + 1) * s)
-        if max(window) > H or min(window) < -H:
-            return j * s + next(i for i, c in enumerate(window) if not -H <= c <= H)
+    for j in (3, 2, 4, 5, 6, 1):
+        for t in range(j * s, (j + 1) * s):
+            if not -H <= _tail_coeff(tails, s, t) <= H:
+                return t
     return None
 
 
 @pytest.mark.parametrize("H", [50, 74])
 def test_ladder_sweep_matches_the_window_only_sweep(monkeypatch, H):
-    # the ladder only settles non-members sooner: the same m reach
-    # poch_class, so rows, horizon and member certificates are unchanged
+    # the ladder leaves some non-members to poch_class that whole windows
+    # settle, but rows, horizon and member certificates are unchanged
     table = build_s_table(H)
     monkeypatch.setattr(classify, "_s_witness", window_only_s_witness)
     reference = build_s_table(H)
@@ -353,20 +379,6 @@ def test_ladder_sweep_matches_the_window_only_sweep(monkeypatch, H):
         for m in random.Random(74).sample(others, 200):
             t = table.certificates[m]
             assert abs(pochhammer(1, 1, m, t).coeff(t)) > H, (m, t)
-
-
-def test_s_sweep_settles_non_members_before_whole_windows(monkeypatch):
-    # the window-only sweep sums 4,161 whole windows at H = 74; the ladder
-    # of single-coefficient reads leaves at most 600 of them
-    calls = []
-
-    def counted(tails, s, lo, hi):
-        calls.append(s)
-        return _tail_coeffs(tails, s, lo, hi)
-
-    monkeypatch.setattr(classify, "_tail_coeffs", counted)
-    build_s_table(74)
-    assert len(calls) <= 600
 
 
 def test_sweeps_never_carry_the_factors(monkeypatch, capsys):

@@ -134,6 +134,14 @@ def test_one_loop_carries_a_product_of_binomials():
     assert named == {("series", "_carried_products")}
 
 
+def test_one_reader_takes_coefficients_from_the_tails():
+    # the S sweep's ladder and the window suite read (q;q)_m one coefficient
+    # at a time; nothing sums whole windows of the tails
+    assert functions_naming("classify", "_tail_coeff") == {"_s_witness", "window_sweep"}
+    assert not any("_tail_coeffs" in path.read_text(encoding="utf-8")
+                   for path in SRC.glob("*.py"))
+
+
 #: Every module outside the package that src/qbloch imports.  A cold start,
 #: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
 #: one is a deliberate edit here.
