@@ -16,7 +16,7 @@ from operator import add, sub
 
 from .errors import UsageError
 from .pentagonal import _pentagonal_floor, p1, pnt_terms
-from .series import TruncSeries, _carried_products, pochhammer, qq_poly
+from .series import TruncSeries, _carried_products, _mul_one_minus, pochhammer, qq_poly
 
 
 class NoCorrectionError(Exception):
@@ -26,28 +26,52 @@ class NoCorrectionError(Exception):
 def F_direct(k: int, M, N: int) -> TruncSeries:
     """F_{k,M}(q) modulo q^(N+1); M=None takes the limit (j stops at N//k).
 
-    The reference expansion of the defining sum (_partial_sums): about
-    N^2/(2k) adds, plus each (q;q)_j multiplied only up to its degree.
+    The reference expansion of the defining sum, in Horner form
+    (_nested_sum): about N^2/(2(k+1)) coefficient updates, and no loop in
+    common with F_backsolve's routes.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if M is not None and M < 0:
         raise UsageError(f"M must be >= 0, got {M}")
-    return TruncSeries(_partial_sums(k, M, N), N)
+    return TruncSeries(_nested_sum(k, M, N), N)
 
 
-def _partial_sums(k: int, M, N: int, first: int = 0, step: int = 1) -> list:
-    """Coefficients to q^N of sum_{j <= M} q^(first+kj) (q;q^step)_j.
+def _nested_sum(k: int, M, N: int, first: int = 0, step: int = 1) -> list:
+    """Coefficients to q^N of sum_{j <= M} q^(first+kj) (q;q^step)_j, in Horner form
 
-    Term j <= (N - first)//k (none if N < first) adds N + 1 - (first + kj)
-    coefficients of (q;q^step)_j read from series._carried_products, cut
-    to them, so each product is multiplied only to its degree.  Its carry
-    stops at a factor past q^(N - first), whose term lies past q^N as step <= k.
+        G_J = 1,  G_j = 1 + q^k (1 - q^(1+step*j)) G_(j+1),  sum = q^first G_0,
+
+    with J = (N - first)//k, or M if that is smaller (no terms if N < first).
+    G_j lives in place at out[first + kj:], so the shift by q^k costs
+    nothing: step j multiplies the region of G_(j+1) by one binomial,
+    max(0, N - first - k - (k+step)j) updates, and places the 1 below it.
+    No product is held.
     """
     out = [0] * (N + 1)
-    terms = (N - first) // k if M is None else min((N - first) // k, M)
-    for j, prod in zip(range(terms + 1), _carried_products(1, step, terms, N - first)):
+    if N < first:
+        return out
+    J = (N - first) // k if M is None else min((N - first) // k, M)
+    out[first + k * J] = 1
+    for j in range(J - 1, -1, -1):
         base = first + k * j
+        _mul_one_minus(out, 1 + step * j, base + k)
+        out[base] = 1
+    return out
+
+
+def _partial_sums(k: int, N: int) -> list:
+    """Coefficients to q^N of F_k = sum_j q^(kj) (q;q)_j, F_backsolve's sum route.
+
+    Term j <= N//k adds N + 1 - kj coefficients of (q;q)_j read from
+    series._carried_products, cut to them, so each product is multiplied
+    only to its degree.  Its carry stops at a factor past q^N, whose term
+    lies past q^N too.
+    """
+    out = [0] * (N + 1)
+    terms = N // k
+    for j, prod in zip(range(terms + 1), _carried_products(1, 1, terms, N)):
+        base = k * j
         del prod[N + 1 - base:]
         out[base:base + len(prod)] = map(add, out[base:base + len(prod)], prod)
     return out
@@ -83,7 +107,7 @@ def one_mod_k_identity_check(k: int, M: int) -> bool:
     if k < 1 or M < 0:
         raise UsageError("one_mod_k_identity_check needs k >= 1 and M >= 0")
     N = (M + 1) + k * M * (M + 1) // 2
-    lhs = TruncSeries(_partial_sums(k, M, N, 1, k), N)
+    lhs = TruncSeries(_nested_sum(k, M, N, 1, k), N)
     return lhs == TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
 
 
@@ -118,7 +142,7 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
     slices = (2 * n + (family == 2)) * (min(degree, N) + 1)
     terms = N // k + 1
     if terms * (N + 1) - k * terms * (terms - 1) // 2 < slices + half // k * half // 2:
-        return TruncSeries(_partial_sums(k, None, N), N)
+        return TruncSeries(_partial_sums(k, N), N)
     return _backsolved(k, N)
 
 

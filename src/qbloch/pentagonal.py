@@ -106,27 +106,6 @@ class PentaBlock:
         return index <= self.upper if self.upper_closed else index < self.upper
 
 
-def _locate_by_bisection(pred) -> int:
-    """Largest n >= 0 with pred(n), for monotone pred true at 0.
-
-    Reference path: doubling then binary search, no isqrt.  Used by tests
-    to cross-check the exact locator, _pentagonal_floor.
-    """
-    if not pred(0):
-        raise UsageError("predicate must hold at n=0")
-    hi = 1
-    while pred(hi):
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 #: The sub-interval of an a-block by (top % 2, family), as in locate_block_a.
 _A_FAMILIES = {(0, 2): "plus-run", (1, 1): "zero-gap",
                (1, 2): "minus-run", (0, 1): "zero-tail"}

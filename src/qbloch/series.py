@@ -19,18 +19,21 @@ from .errors import UsageError
 _BLOCK = 4096
 
 
-def _mul_one_minus(coeffs: list, d: int) -> None:
-    """In place: coeffs *= (1 - q^d), truncated to the same length.
+def _mul_one_minus(coeffs: list, d: int, lo: int = 0) -> None:
+    """In place: coeffs[lo:] *= (1 - q^d), truncated to the same length.
 
-    Blocks are rewritten from the top down and each is read in full before
-    it is written, so every subtrahend is still an old coefficient.  The
-    block size bounds how many new coefficients exist beside the old ones.
+    The region coeffs[lo:] is a series of its own, coeffs[lo] its constant
+    term: its len(coeffs) - lo - d coefficients past q^d are rewritten, and
+    nothing below lo is read or written.  Blocks are rewritten from the top
+    down and each is read in full before it is written, so every subtrahend
+    is still an old coefficient.  The block size bounds how many new
+    coefficients exist beside the old ones.
     """
     hi = len(coeffs)
-    while hi > d:
-        lo = max(d, hi - _BLOCK)
-        coeffs[lo:hi] = map(sub, coeffs[lo:hi], coeffs[lo - d:hi - d])
-        hi = lo
+    while hi > lo + d:
+        start = max(lo + d, hi - _BLOCK)
+        coeffs[start:hi] = map(sub, coeffs[start:hi], coeffs[start - d:hi - d])
+        hi = start
 
 
 def _div_one_minus(coeffs: list, d: int) -> None:

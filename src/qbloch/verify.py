@@ -6,7 +6,7 @@ refuses a budget below its fixed sizes before any work and never shrinks a
 check under its name.  SUITES is the one list of suites, in CLI order.
 
 A suite reads each series from its builder (fseries.F_backsolve, not the
-O(N^2/k) defining sum).  The reference sum fseries.F_direct appears only in
+defining sum).  The reference sum fseries.F_direct appears only in
 checks that compare a builder with it, all of them in the identities suite.
 
 Library functions are called through their modules (fseries.F_direct), never

@@ -376,8 +376,6 @@ def test_backsolve_takes_the_direct_sum_for_large_k(monkeypatch):
     # would build (q;q)_{k-1}, of degree k(k-1)/2, and is never entered
     cases = [(100_000, 10), (2000, 100), (150, 4000)]
     expected = [F_direct(k, None, N) for k, N in cases]
-    # F_direct runs the same loop, so check that route against the
-    # independent backsolved form where building it is affordable
     assert fseries._backsolved(150, 4000) == expected[2]
 
     def refuse(k, N):
@@ -406,7 +404,9 @@ def partial_sums_by_full_carry(k, M, N, first=0, step=1):
 
 def test_partial_sums_against_the_full_length_carry():
     # random (k, M, N, first, step) with step 1 or k, plus the edges M = 0,
-    # N = 0 and N < first, where the sum is N + 1 zeros
+    # N = 0 and N < first, where the sum is N + 1 zeros; the route's carry,
+    # which only F_backsolve takes (M = None, first = 0, step = 1), on the
+    # same (k, N)
     rng = random.Random(25)
     cases = [(k, M, N, first, step)
              for k in (1, 2, 5) for M in (None, 0, 3) for N in (0, 1, 4)
@@ -416,10 +416,29 @@ def test_partial_sums_against_the_full_length_carry():
         cases.append((k, rng.choice([None, 0, rng.randint(0, 40)]), rng.randint(0, 250),
                       rng.randint(0, 30), rng.choice([1, k])))
     for k, M, N, first, step in cases:
-        got = fseries._partial_sums(k, M, N, first, step)
+        got = fseries._nested_sum(k, M, N, first, step)
         assert got == partial_sums_by_full_carry(k, M, N, first, step), (k, M, N, first, step)
         if N < first:
             assert got == [0] * (N + 1)
+    for k, N in {(k, N) for k, _M, N, _first, _step in cases}:
+        assert fseries._partial_sums(k, N) == partial_sums_by_full_carry(k, None, N), (k, N)
+
+
+def test_direct_rewrites_one_region_per_term(monkeypatch):
+    # term j of the Horner form multiplies the region of G_(j+1) by
+    # (1 - q^(1+j)): N - k - (k+1)j coefficients past its q^(1+j)
+    rewritten = []
+
+    def counted(coeffs, d, lo=0):
+        rewritten.append(max(0, len(coeffs) - lo - d))
+        _mul_one_minus(coeffs, d, lo)
+
+    monkeypatch.setattr(fseries, "_mul_one_minus", counted)
+    for k, N, expected in ((1, 300, 22_500), (2, 500, 41_583), (6, 500, 17_679)):
+        rewritten.clear()
+        F_direct(k, None, N)
+        assert sum(rewritten) == expected == sum(
+            max(0, N - k - (k + 1) * j) for j in range(N + 1)), (k, N)
 
 
 def test_backsolve_takes_the_sum_past_the_priced_tie(monkeypatch):

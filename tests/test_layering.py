@@ -126,12 +126,19 @@ def test_one_pentagonal_locator_takes_the_square_root():
     assert named == {("pentagonal", "_pentagonal_floor")}
 
 
-def test_one_loop_carries_a_product_of_binomials():
-    # F_direct's sum and the one-mod-k identity read their products from
-    # series._carried_products, the only caller of the in-place binomial
+def test_two_loops_call_the_in_place_binomial():
+    # series._carried_products carries a product of binomials, for
+    # pochhammer and F_backsolve's sum route; fseries._nested_sum, the
+    # reference sum in Horner form, multiplies regions of one list
     named = {(path.stem, function) for path in SRC.glob("*.py")
              for function in functions_naming(path.stem, "_mul_one_minus")}
-    assert named == {("series", "_carried_products")}
+    assert named == {("series", "_carried_products"), ("fseries", "_nested_sum")}
+
+
+def test_the_reference_sum_shares_no_loop_with_the_route():
+    # only F_backsolve's sum route reads the carried products, so F_direct
+    # checks that route along an independent path
+    assert functions_naming("fseries", "_carried_products") == {"_partial_sums"}
 
 
 def test_one_reader_takes_coefficients_from_the_tails():

@@ -6,9 +6,9 @@ import tracemalloc
 import pytest
 
 from qbloch.errors import UsageError
-from qbloch.pentagonal import (PentaBlock, _locate_by_bisection, _pentagonal_floor,
-                               gap_check, locate_block_a, locate_block_b, p1, p2,
-                               pentagonal_index, pnt_series, pnt_terms)
+from qbloch.pentagonal import (PentaBlock, _pentagonal_floor, gap_check, locate_block_a,
+                               locate_block_b, p1, p2, pentagonal_index, pnt_series,
+                               pnt_terms)
 from qbloch.series import pochhammer
 
 
@@ -93,6 +93,24 @@ def test_pentagonal_floor_is_the_last_term_up_to_x():
         assert terms[-1] == ((p1 if family == 1 else p2)(n), (-1) ** n), x
         assert 2 * n + (family == 2) == len(terms), x
     assert _pentagonal_floor(0) == (0, 2)
+
+
+def _locate_by_bisection(pred) -> int:
+    # reference for the exact locator _pentagonal_floor: the largest n >= 0
+    # with pred(n), for monotone pred true at 0, by doubling then binary
+    # search, no isqrt
+    assert pred(0)
+    hi = 1
+    while pred(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def test_pentagonal_floor_against_bisection():
