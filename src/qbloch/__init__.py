@@ -17,8 +17,8 @@ from .fseries import (CorrectionPoly, NoCorrectionError, TailSplit, F_backsolve,
                       F_direct, correction, eden_series, f1_base_identity_check,
                       one_mod_k_identity_check, pentagonal_tail,
                       recurrence_check, tail_split)
-from .pentagonal import (PentaBlock, gap_check, locate_block_a, locate_block_b,
-                         p1, p2, pentagonal_index, pnt_series)
+from .pentagonal import (PentaBlock, locate_block_a, locate_block_b, p1, p2,
+                         pentagonal_index, pnt_series)
 from .series import TruncSeries, pochhammer, qq_poly
 
 __version__ = "1.0.0"
@@ -29,8 +29,8 @@ __all__ = [
     "PentaBlock", "TailSplit", "TruncSeries", "UsageError", "WindowRecord",
     "a_coeff", "b_coeff", "build_s_table", "build_shat_table",
     "conjecture_scan", "correction", "eden_class", "eden_series",
-    "f1_base_identity_check", "first_appearance", "gap_check",
-    "locate_block_a", "locate_block_b", "one_mod_k_identity_check", "p1", "p2",
+    "f1_base_identity_check", "first_appearance", "locate_block_a",
+    "locate_block_b", "one_mod_k_identity_check", "p1", "p2",
     "pentagonal_index", "pentagonal_tail", "pnt_series", "poch_class",
     "pochhammer", "qq_poly", "recurrence_check", "s_cutoff", "shat_bound",
     "tail_split", "window_check", "window_detail", "window_sweep",

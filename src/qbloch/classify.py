@@ -41,8 +41,7 @@ class Budget:
         degree past max_order; callers ask before they start the work."""
         if order > self.max_order:
             raise BudgetError(
-                f"{what} needs expansion order {order} > budget {self.max_order} "
-                f"(roughly {8 * (order + 1)} bytes of coefficients)")
+                f"{what} needs expansion order {order} > budget {self.max_order}")
 
 
 DEFAULT_BUDGET = Budget()

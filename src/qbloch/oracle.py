@@ -214,30 +214,16 @@ def eden_signed_sums(k: int, N: int, limit: int = ENUM_LIMIT_EDEN) -> list:
     return _eden_walk(k, N, N)[::-1]
 
 
-def _check_one_mod_k(k: int, n: int, l_max: int, limit: int, what: str) -> int:
-    """The largest part <= l_max that is 1 mod k, once the arguments pass."""
-    if k < 1 or n < 0 or l_max < 1:
-        raise UsageError(f"{what} needs k >= 1, n >= 0, l_max >= 1, "
-                         f"got k={k} n={n} l_max={l_max}")
-    _check_budget(n, limit, what)
-    return l_max - (l_max - 1) % k
-
-
-def one_mod_k_signed_sum(k: int, n: int, l_max: int, limit: int = ENUM_LIMIT) -> int:
-    """Sum of (-1)^(nu+1) over non-empty distinct-part partitions of n with
-    every part congruent to 1 mod k and largest part <= l_max."""
-    top = _check_one_mod_k(k, n, l_max, limit, "one_mod_k_signed_sum")
-    if n == 0:
-        return 0
-    tally = [0]
-    _signed_parts(tally, n, 0, top, k, 1, -1)
-    return tally[0]
-
-
 def one_mod_k_signed_sums(k: int, N: int, l_max: int, limit: int = ENUM_LIMIT) -> list:
-    """one_mod_k_signed_sum(k, n, l_max) for every n <= N, from one walk
-    over the window [0, N]: one call per partition of weight <= N."""
-    top = _check_one_mod_k(k, N, l_max, limit, "one_mod_k_signed_sums")
+    """Sum of (-1)^(nu+1) over non-empty distinct-part partitions of each
+    n <= N with every part congruent to 1 mod k and largest part <= l_max,
+    from one walk over the window [0, N]: one call per partition of weight
+    <= N."""
+    if k < 1 or N < 0 or l_max < 1:
+        raise UsageError("one_mod_k_signed_sums needs k >= 1, n >= 0, l_max >= 1, "
+                         f"got k={k} n={N} l_max={l_max}")
+    _check_budget(N, limit, "one_mod_k_signed_sums")
+    top = l_max - (l_max - 1) % k  # the largest admissible part
     tally = [0] * (N + 1)
     _signed_parts(tally, N, N, top, k, 1, -1)
     tally[N] = 0  # the empty partition is left out

@@ -146,10 +146,3 @@ def locate_block_b(i: int) -> PentaBlock:
                       lower=max(p1(2 * n) - 2, 0), upper=p1(2 * n + 2) - 3,
                       upper_closed=True)
 
-
-def gap_check(M: int, n_max: int) -> bool:
-    """True iff p2(n)-p1(n) > M and p1(n+1)-p2(n) > M for all M < n <= n_max:
-    the gaps n and 2n + 1 grow with n, so n = M + 1 decides them all."""
-    if M < 1 or n_max < 1:
-        raise UsageError("gap_check needs positive M and n_max")
-    return n_max <= M or (p2(M + 1) - p1(M + 1) > M and p1(M + 2) - p2(M + 1) > M)

@@ -100,14 +100,13 @@ class TruncSeries:
         return TruncSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        """Cauchy product truncated at the common order.  Schoolbook; zero
-        terms of the sparser operand are skipped, which makes products with
-        pentagonal-type series run in O(sqrt(N) * N)."""
+        """Cauchy product truncated at the common order.  Schoolbook: each
+        nonzero term q^i of self visits the N + 1 - i coefficients of other
+        it meets, O(N^2) in the worst case.  No library path multiplies two
+        series; products of binomials go through _mul_one_minus."""
         self._check_same_order(other)
         n = self.order
         a, b = self.coeffs, other.coeffs
-        if _nonzero_count(b) < _nonzero_count(a):
-            a, b = b, a
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
             if ai:
@@ -190,10 +189,6 @@ class TruncSeries:
         head = ", ".join(f"{v}*q^{t}" for t, v in items[:6])
         more = "" if len(items) <= 6 else ", ..."
         return f"TruncSeries({head or '0'}{more}; order={self.order})"
-
-
-def _nonzero_count(coeffs: list) -> int:
-    return len(coeffs) - coeffs.count(0)
 
 
 def pochhammer(start: int, step: int, L, N: int) -> TruncSeries:

@@ -147,6 +147,15 @@ def test_expand_over_budget():
     assert "budget exceeded" in proc.stderr
 
 
+def test_order_gate_line_names_the_gate_and_the_order(capsys):
+    # the line states what the gate compares and nothing it does not measure
+    assert main(["table", "S", "75"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: build_s_table(75) needs expansion "
+                            "order 251719 > budget 250000\n")
+
+
 def test_budget_flag_is_honored():
     ok = run_cli("expand", "pnt", "200")
     assert ok.returncode == 0

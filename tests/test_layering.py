@@ -1,8 +1,9 @@
 """Dependency rules between the qbloch modules, read from their source with
 ast: the oracle stays independent of the machinery it checks, the verify
 suites call the traced layers through their modules, the CLI leaves the
-oracle to them and the dense pentagonal series to the library, and the
-package imports a fixed set of standard-library modules."""
+oracle to them and the dense pentagonal series to the library, the
+package imports a fixed set of standard-library modules, and every
+function has a caller, an export or a named user outside the package."""
 
 import ast
 from pathlib import Path
@@ -171,3 +172,74 @@ def outside_imports():
 
 def test_the_package_imports_a_fixed_set_of_stdlib_modules():
     assert outside_imports() == STDLIB
+
+
+#: Every function of src/qbloch that nothing there reads and the package does
+#: not export, with the test outside src that keeps it.  An entry that gains
+#: a caller in src, or whose function is gone, fails the check below.
+EXTERNAL_USERS = {
+    "oracle.signed_distinct_sum":
+        "tests/test_acceptance.py::test_09_enumeration_equivalence_and_tail_splits",
+    "oracle.eden_signed_sum":
+        "tests/test_acceptance.py::test_09_enumeration_equivalence_and_tail_splits",
+    "oracle.signed_distinct_table":
+        "tests/test_acceptance.py::test_09_enumeration_equivalence_and_tail_splits",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unpinned(sources, exported):
+    """The keys module.name of the top-level functions and classes of the
+    modules in sources (name -> text), and module.Class.method of their
+    methods other than dunders, that no module reads outside their own
+    body, as a bare name or an attribute, and that are not in exported or
+    methods of a class that is."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    found = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, FUNCTIONS + (ast.ClassDef,)):
+                continue
+            members = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                members += [(f"{top.name}.{sub.name}", sub) for sub in top.body
+                            if isinstance(sub, FUNCTIONS)
+                            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+            for key, node in members:
+                inside = {id(sub) for sub in ast.walk(node)}
+                if top.name not in exported and all(
+                        id(read) in inside for read in reads.get(node.name, ())):
+                    found.add(f"{module}.{key}")
+    return found
+
+
+def test_every_function_has_a_caller_an_export_or_a_named_user():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unpinned(sources, set(qbloch.__all__)) == set(EXTERNAL_USERS)
+    root = Path(__file__).parent.parent
+    for user in EXTERNAL_USERS.values():
+        path, test = user.split("::")
+        assert f"\ndef {test}(" in (root / path).read_text(encoding="utf-8"), user
+
+
+def test_the_caller_rule_reads_names_attributes_and_exports():
+    sources = {
+        "a": "def used(): pass\n"
+               "def recursive(n): return recursive(n - 1)\n"
+               "class Box:\n"
+               "    def __len__(self): return 0\n"
+               "    def read(self): return self.peek()\n"
+               "    def peek(self): return 0\n"
+               "class Shown:\n"
+               "    def alone(self): pass\n",
+        "b": "from .a import used\nvalue = used()\n",
+    }
+    assert unpinned(sources, {"Shown"}) == {"a.recursive", "a.Box", "a.Box.read"}

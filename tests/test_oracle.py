@@ -10,8 +10,8 @@ from qbloch.closed_form import a_coeff, b_coeff
 from qbloch.errors import BudgetError, UsageError
 from qbloch.fseries import eden_series
 from qbloch.oracle import (count_distinct_table, distinct_partitions, eden_count,
-                           eden_signed_sum, eden_signed_sums, one_mod_k_signed_sum,
-                           one_mod_k_signed_sums, signed_distinct_sum,
+                           eden_signed_sum, eden_signed_sums, one_mod_k_signed_sums,
+                           signed_distinct_sum,
                            signed_distinct_sums, signed_distinct_table,
                            signed_distinct_tables)
 from qbloch.pentagonal import pnt_series
@@ -48,8 +48,6 @@ def test_enumeration_is_exhaustive():
     N, M = 120, 30
     for k in (2, 3):
         rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
-        for n in range(N + 1):
-            assert one_mod_k_signed_sum(k, n, k * M + 1) == rhs.coeff(n), (k, n)
         assert one_mod_k_signed_sums(k, N, k * M + 1) == rhs.coeffs, k
 
 
@@ -175,14 +173,13 @@ def test_eden_sums_reproduce_series():
 
 
 def test_one_mod_k_signed_sums():
-    assert one_mod_k_signed_sum(3, 1, 10) == 1
-    assert one_mod_k_signed_sum(3, 0, 10) == 0
+    assert one_mod_k_signed_sums(3, 0, 10) == [0]
+    assert one_mod_k_signed_sums(3, 1, 10) == [0, 1]
     for k in (1, 2, 3, 5):
         for M in (0, 2, 5, 10):
             N = 60
             rhs = TruncSeries.one(N) - pochhammer(1, k, M + 1, N)
-            for n in range(N + 1):
-                assert one_mod_k_signed_sum(k, n, k * M + 1) == rhs.coeff(n)
+            assert one_mod_k_signed_sums(k, N, k * M + 1) == rhs.coeffs, (k, M)
 
 
 def test_budget_errors():
@@ -192,8 +189,6 @@ def test_budget_errors():
         eden_count(2, 101, 3)
     with pytest.raises(BudgetError):
         eden_signed_sum(1, 101)
-    with pytest.raises(BudgetError):
-        one_mod_k_signed_sum(2, 301, 5)
     assert signed_distinct_sum(30, 1, limit=30) == pnt_series(30).coeff(30)
     with pytest.raises(BudgetError):
         signed_distinct_sum(31, 1, limit=30)
@@ -201,7 +196,8 @@ def test_budget_errors():
         signed_distinct_sums(301, 1)
     with pytest.raises(BudgetError):
         eden_signed_sums(1, 101)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="one_mod_k_signed_sums: n=301 exceeds "
+                                          "the enumeration limit 300"):
         one_mod_k_signed_sums(2, 301, 5)
     assert signed_distinct_sums(30, 1, limit=30) == pnt_series(30).coeffs
     with pytest.raises(BudgetError):
@@ -215,10 +211,8 @@ def test_argument_errors():
         signed_distinct_sum(5, 0)
     with pytest.raises(UsageError):
         eden_count(0, 5, 2)
-    with pytest.raises(UsageError, match="got k=2 n=5 l_max=0"):
-        one_mod_k_signed_sum(2, 5, 0)
     with pytest.raises(UsageError, match="got k=0 n=5 l_max=3"):
-        one_mod_k_signed_sum(0, 5, 3)
+        one_mod_k_signed_sums(0, 5, 3)
     with pytest.raises(UsageError, match="min_part must be >= 1, got 0"):
         count_distinct_table(5, 0)
     with pytest.raises(UsageError, match="min_part must be >= 1, got 0"):

@@ -1,4 +1,4 @@
-"""Pentagonal families, gap growth, and exact block location."""
+"""Pentagonal families and exact block location."""
 
 import random
 import tracemalloc
@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from qbloch.errors import UsageError
-from qbloch.pentagonal import (PentaBlock, _pentagonal_floor, gap_check, locate_block_a,
+from qbloch.pentagonal import (PentaBlock, _pentagonal_floor, locate_block_a,
                                locate_block_b, p1, p2, pentagonal_index, pnt_series,
                                pnt_terms)
 from qbloch.series import pochhammer
@@ -15,29 +15,6 @@ from qbloch.series import pochhammer
 def test_family_values():
     assert [p1(n) for n in range(8)] == [0, 1, 5, 12, 22, 35, 51, 70]
     assert [p2(n) for n in range(8)] == [0, 2, 7, 15, 26, 40, 57, 77]
-
-
-def test_gap_growth_large_sweep():
-    # p2(n)-p1(n) = n and p1(n+1)-p2(n) = 2n+1, both exceed M once n > M
-    assert gap_check(3, 10 ** 6)
-    assert gap_check(100, 10 ** 6)
-
-
-def gap_check_by_loop(M, n_max):
-    # every n of the range checked on its own
-    for n in range(M + 1, n_max + 1):
-        if p2(n) - p1(n) <= M or p1(n + 1) - p2(n) <= M:
-            return False
-    return True
-
-
-def test_gap_check_against_the_loop():
-    for M in range(1, 31):
-        for n_max in range(1, 61):
-            assert gap_check(M, n_max) == gap_check_by_loop(M, n_max), (M, n_max)
-    for M, n_max in ((0, 5), (5, 0), (-1, -1)):
-        with pytest.raises(UsageError):
-            gap_check(M, n_max)
 
 
 def test_pnt_series_equals_product():

@@ -7,8 +7,8 @@ import pytest
 from qbloch.errors import UsageError
 from qbloch import series
 from qbloch.cli import main
-from qbloch.series import (TruncSeries, _carried_products, _nonzero_count,
-                           _tail_coeff, _tails, pochhammer, qq_poly)
+from qbloch.series import (TruncSeries, _carried_products, _tail_coeff, _tails,
+                           pochhammer, qq_poly)
 
 
 def random_series(rng, order, density=0.5, bound=9):
@@ -105,7 +105,6 @@ def test_dense_readers_match_their_plain_definitions():
             coeffs = s.coeffs
             items = [(t, coeffs[t]) for t in range(len(coeffs)) if coeffs[t]]
             assert s.nonzero_items() == items
-            assert _nonzero_count(coeffs) == sum(1 for v in coeffs if v)
             head = ", ".join(f"{v}*q^{t}" for t, v in items[:6])
             more = "" if len(items) <= 6 else ", ..."
             assert repr(s) == f"TruncSeries({head or '0'}{more}; order={order})"
