@@ -27,13 +27,12 @@ from .series import _tail_coeff, _tails, pochhammer
 class Budget:
     """Hard resource limits; exceeding one raises BudgetError, never truncates.
 
-    max_order caps any truncation order or full polynomial degree; max_digits
-    caps the decimal length of coefficient-query indices; max_enum caps the
-    weight n of every brute-force enumeration, the Eden counts included.
+    max_order caps any truncation order or full polynomial degree; max_enum
+    caps the weight n of every brute-force enumeration, the Eden counts
+    included.
     """
 
     max_order: int = 250_000
-    max_digits: int = 10_000
     max_enum: int = ENUM_LIMIT
 
     def require_order(self, order: int, what: str) -> None:

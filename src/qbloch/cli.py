@@ -31,6 +31,8 @@ from .series import pochhammer
 from .verify import SUITES
 
 _INDEX_RE = re.compile(r"[0-9]+")
+#: The most decimal digits a coeff index may have.
+_MAX_DIGITS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +88,6 @@ def _make_budget(args) -> Budget:
     base = Budget()
     return Budget(
         max_order=args.budget_order if args.budget_order is not None else base.max_order,
-        max_digits=base.max_digits,
         max_enum=args.budget_enum if args.budget_enum is not None else base.max_enum)
 
 
@@ -157,7 +158,7 @@ def _cmd_coeff(args, budget) -> tuple:
     # int() of the index and str() of the answer raise past the interpreter's
     # int/str conversion limit (0 there means none)
     convertible = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    limit = min(budget.max_digits, convertible) if convertible else budget.max_digits
+    limit = min(_MAX_DIGITS, convertible) if convertible else _MAX_DIGITS
     if len(args.index) > limit:
         raise BudgetError(f"index has {len(args.index)} digits, at most {limit} "
                           "are allowed (the digit budget or the interpreter's "

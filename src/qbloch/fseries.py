@@ -77,21 +77,16 @@ def _partial_sums(k: int, N: int) -> list:
     return out
 
 
-def recurrence_check(k: int, M: int, N=None) -> bool:
+def recurrence_check(k: int, M: int) -> bool:
     """Exact polynomial identity between consecutive k:
 
         q^(k+1) F_{k+1,M} == 1 + (q^k - 1) F_{k,M} - q^(k(M+1)) (q;q)_{M+1}
 
-    Both sides have degree k(M+1) + (M+1)(M+2)/2; N defaults to it and a
-    smaller explicit N is a usage error.
+    compared at its degree N = k(M+1) + (M+1)(M+2)/2, where both sides end.
     """
     if k < 1 or M < 1:
         raise UsageError("recurrence_check needs k >= 1 and M >= 1")
-    need = k * (M + 1) + (M + 1) * (M + 2) // 2
-    if N is None:
-        N = need
-    elif N < need:
-        raise UsageError(f"order {N} below the identity degree {need}")
+    N = k * (M + 1) + (M + 1) * (M + 2) // 2
     lhs = F_direct(k + 1, M, N).shift(k + 1)
     f_km = F_direct(k, M, N)
     rhs = TruncSeries.one(N) + f_km.shift(k) - f_km
@@ -146,7 +141,7 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
     return _backsolved(k, N)
 
 
-def _backsolved(k: int, N: int, lo: int = 0, hi=None, factor=None) -> TruncSeries:
+def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> TruncSeries:
     """F_k(q) modulo q^(N+1) through the backsolved representation
 
         q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
@@ -158,17 +153,16 @@ def _backsolved(k: int, N: int, lo: int = 0, hi=None, factor=None) -> TruncSerie
     about sqrt(8(N + shift)/3) slices of min(k(k-1)/2, N) + 1 coefficients.
     factor is the coefficient list of (q;q)_{k-1}, built here unless the
     caller holds it; factor [1] places the bare signed terms (pentagonal_tail).
-    Only the terms with lo <= e < hi are added, so that tail_split and
-    TailSplit.reconstruct can take the two sides of one exponent.  This is
-    the only loop that places shifted copies of pentagonal terms.
+    Only the terms with e >= lo are added, so TailSplit.reconstruct and
+    pentagonal_tail take the tail alone; _split_head's order ends the head.
+    This is the only loop that places shifted copies of pentagonal terms.
     """
     shift = k * (k + 1) // 2
     if factor is None:
         factor = qq_poly(k - 1).coeffs
     sign = -1 if k % 2 else 1
     out = [0] * (N + 1)
-    top = N + shift if hi is None else min(N + shift, hi - 1)
-    for e, c in pnt_terms(top):
+    for e, c in pnt_terms(N + shift):
         t = e - shift  # factor[a:b] lands on out[t + a:t + b], inside 0..N
         a, b = max(-t, 0), min(len(factor), N + 1 - t)
         if e >= lo and a < b:
@@ -183,7 +177,7 @@ class TailSplit:
     T = sum over n >= tail_start_n of (-1)^(n+k) (q^(p1(n)-shift) + q^(p2(n)-shift)),
     shift = k(k+1)/2, and tail_start_n = k(k-1)/2 + 1 is the least n whose
     pentagonal gaps exceed deg (q;q)_{k-1}, so the shifted factor copies in
-    the tail never overlap.
+    the tail never overlap; P is _split_head's, padded with zeros.
     """
 
     k: int
@@ -216,13 +210,20 @@ def pentagonal_tail(k: int, N: int) -> TruncSeries:
     return _backsolved(k, N, lo=p1(k * (k - 1) // 2 + 1), factor=[1])
 
 
+def _split_head(k: int, factor: list) -> list:
+    """The head P of F_k's split, k >= 2, to its own order p1(ns) - shift - 1:
+    the backsolved terms below p1(ns) with factor, the caller's (q;q)_{k-1}.
+    Their copies end inside that order, as p1(ns) - p2(ns-1) = 2ns - 1
+    exceeds the factor's degree ns - 1.  The one builder of the head."""
+    return _backsolved(k, p1(k * (k - 1) // 2 + 1) - k * (k + 1) // 2 - 1,
+                       factor=factor).coeffs
+
+
 def tail_split(k: int, N: int) -> TailSplit:
     """Split F_k at the pentagonal index where gaps outgrow deg (q;q)_{k-1}.
 
-    The head P is the backsolved sum over the pentagonal terms below
-    p1(ns) alone.  Their copies of (q;q)_{k-1} end below q^(p1(ns)-shift),
-    since p1(ns) - p2(ns-1) = 2ns - 1 exceeds its degree.  (q;q)_{k-1} is
-    built once, for P, and stored as tail_factor for reconstruct.  Needs
+    The head P is _split_head's polynomial padded to order N.  (q;q)_{k-1}
+    is built once, for P, and stored as tail_factor for reconstruct.  Needs
     k >= 2 and N large enough to see at least two tail terms.
     """
     if k < 2:
@@ -234,7 +235,7 @@ def tail_split(k: int, N: int) -> TailSplit:
             f"order {N} too small; need at least {p1(ns + 2) - shift} "
             f"to expose two tail terms for k={k}")
     factor = qq_poly(k - 1)
-    return TailSplit(k=k, P=_backsolved(k, N, hi=p1(ns), factor=factor.coeffs),
+    return TailSplit(k=k, P=TruncSeries(_split_head(k, factor.coeffs), N),
                      tail_factor=factor, tail_start_n=ns, shift=shift)
 
 
@@ -249,7 +250,7 @@ class CorrectionPoly:
 
 
 def correction(k: int) -> CorrectionPoly:
-    """The correction of F_k, derived from its head; k = 1, 2 get the zero poly.
+    """The correction of F_k, the clamp of _split_head; k = 1, 2 get the zero poly.
 
     A correction exists iff k - 1 is in S_1 = {0, 1, 2, 3, 5}: past its head
     F_k repeats non-overlapping copies of +-(q;q)_{k-1} forever, so the head
@@ -264,14 +265,11 @@ def correction(k: int) -> CorrectionPoly:
         raise NoCorrectionError(
             f"no polynomial correction exists for k={k}: h((q;q)_{k - 1}) = {height} "
             f"at q^{witness}, and the tail repeats its copies beyond any fixed degree")
-    # the head P of tail_split, below the first tail copy at q^(p1(ns) - shift);
-    # empty for k = 1
-    ns = k * (k - 1) // 2 + 1
-    shift = k * (k + 1) // 2
+    # the head of the split; empty for k = 1
     terms = {}
     if k > 1:
-        head = _backsolved(k, p1(ns) - shift - 1, hi=p1(ns), factor=factor.coeffs)
-        terms = {e: c - (1 if c > 0 else -1) for e, c in head.nonzero_items() if abs(c) > 1}
+        terms = {e: c - (1 if c > 0 else -1)
+                 for e, c in enumerate(_split_head(k, factor.coeffs)) if abs(c) > 1}
     if not terms:
         return CorrectionPoly(k=k, poly=TruncSeries.zero(0))
     order = max(terms)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qbloch import classify, series
+from qbloch import classify, fseries, series
 from qbloch.classify import (Budget, ClassRecord, build_s_table,
                              build_shat_table, conjecture_scan, eden_class,
                              poch_class, s_cutoff, shat_bound, window_check,
@@ -409,3 +409,42 @@ def test_sweeps_never_carry_the_factors(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.err == "", argv
         assert captured.out == out, argv
+
+
+def test_eden_class_is_the_larger_of_the_head_and_the_factor():
+    # the Shat lemma: past its head P, F_k is non-overlapping copies of
+    # +-Q, Q = (q;q)_{k-1}, the first from q^(p1(ns) - shift) to
+    # shat_bound(k), so h(F_k) = max(h(P), h(Q)), first attained in P on a
+    # tie and otherwise at Q's witness in that first copy
+    budget = Budget(max_order=shat_bound(30))  # 284896, past the default
+    for k in range(2, 31):
+        Q = series.qq_poly(k - 1)
+        hp, wp = series.TruncSeries(fseries._split_head(k, Q.coeffs)).max_abs()
+        hq, wq = Q.max_abs()
+        first_copy = p1(k * (k - 1) // 2 + 1) - k * (k + 1) // 2
+        record = eden_class(k, budget)
+        expected = (hp, wp) if hp >= hq else (hq, first_copy + wq)
+        assert (record.h, record.witness) == expected, k
+
+
+def test_every_tail_read_finds_its_tails(monkeypatch):
+    # _tail_coeff drops the term of a missing or too-short tail instead of
+    # raising; every read of the S ladder and the window sweep must find
+    # tails t // s and t - i*s in range, and the checks change no result
+    runs = {("S", H): lambda H=H: build_s_table(H) for H in (1, 8, 20)}
+    runs["windows"] = lambda: window_sweep(22, 200)
+    plain = {name: run() for name, run in runs.items()}
+    reads = []
+
+    def checked(tails, s, t):
+        assert t // s < len(tails), (s, t, len(tails))
+        for i in range(t // s + 1):
+            assert t - i * s < len(tails[i]), (s, t, i, len(tails[i]))
+        reads.append(t)
+        return _tail_coeff(tails, s, t)
+
+    monkeypatch.setattr(classify, "_tail_coeff", checked)
+    for name, run in runs.items():
+        reads.clear()
+        assert run() == plain[name], name
+        assert reads, name

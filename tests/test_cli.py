@@ -133,6 +133,20 @@ def test_coeff_without_an_int_conversion_limit_answers_past_4300_digits():
     assert refused.returncode == 3
 
 
+@pytest.mark.parametrize("which,index,limit,allowed", [("b", "3" * 10001, "0", 10000),
+                                                       ("a", "2" * 4301, "4300", 4300)])
+def test_digit_refusal_line_is_pinned(which, index, limit, allowed):
+    # the digit cap alone (no interpreter limit) and the interpreter's limit
+    # below it print one line, naming both caps
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": limit}
+    proc = run_cli("coeff", which, index, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (f"budget exceeded: index has {len(index)} digits, at most "
+                           f"{allowed} are allowed (the digit budget or the "
+                           "interpreter's int conversion limit, whichever is lower)\n")
+
+
 def test_coeff_rejects_non_numeral():
     for index in ("1e5", "12\n"):
         proc = run_cli("coeff", "a", index)

@@ -76,8 +76,6 @@ def test_recurrence_small_grid():
     for k in range(1, 6):
         for M in range(1, 11):
             assert recurrence_check(k, M)
-    with pytest.raises(UsageError):
-        recurrence_check(2, 5, N=3)
 
 
 def test_one_mod_k_and_base_identities():

@@ -119,6 +119,27 @@ def test_fseries_places_pentagonal_terms_in_one_loop():
     assert functions_naming("fseries", "pnt_terms") == {"_backsolved"}
 
 
+def test_the_backsolved_loop_takes_only_a_low_cut_and_a_factor():
+    # the head ends the terms through its own order, so no caller needs an
+    # upper cut: the signature is (k, N, lo=0, factor=None) and nothing more
+    tree = ast.parse((SRC / "fseries.py").read_text(encoding="utf-8"))
+    [node] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_backsolved"]
+    args = node.args
+    assert [arg.arg for arg in args.posonlyargs + args.args] == ["k", "N", "lo", "factor"]
+    assert [ast.literal_eval(default) for default in args.defaults] == [0, None]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
+
+
+def test_one_builder_makes_the_split_head():
+    # F_backsolve's slice route, the reconstructed tail, the bare tail and
+    # the head, which tail_split and correction both read, are the only
+    # callers of the backsolved loop
+    assert functions_naming("fseries", "_backsolved") == {
+        "F_backsolve", "reconstruct", "pentagonal_tail", "_split_head"}
+    assert functions_naming("fseries", "_split_head") == {"tail_split", "correction"}
+
+
 def test_one_pentagonal_locator_takes_the_square_root():
     # pentagonal_index, both block locators and F_backsolve's slice count
     # place x among the pentagonal exponents through _pentagonal_floor
