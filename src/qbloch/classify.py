@@ -15,7 +15,7 @@ observed shape of the S_h rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BudgetError, UsageError
 from .fseries import F_backsolve
@@ -23,17 +23,15 @@ from .oracle import ENUM_LIMIT
 from .series import _tail_coeff, _tails, pochhammer
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_order max_enum", defaults=(250_000, ENUM_LIMIT))):
     """Hard resource limits; exceeding one raises BudgetError, never truncates.
 
-    max_order caps any truncation order or full polynomial degree; max_enum
-    caps the weight n of every brute-force enumeration, the Eden counts
-    included.
+    max_order caps any truncation order or full polynomial degree (default
+    250,000); max_enum caps the weight n of every brute-force enumeration,
+    the Eden counts included (default ENUM_LIMIT).
     """
 
-    max_order: int = 250_000
-    max_enum: int = ENUM_LIMIT
+    __slots__ = ()
 
     def require_order(self, order: int, what: str) -> None:
         """Raise BudgetError if `what` needs a truncation order or full
@@ -46,34 +44,26 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    """Where one subject lands: h is its max absolute coefficient, witness the
+class ClassRecord(namedtuple("ClassRecord", "kind index h witness bound_used")):
+    """Where one subject lands: kind is 'poch' for (q;q)_m and 'eden' for
+    F_k, index is m or k, h is its max absolute coefficient, witness the
     smallest exponent attaining h, bound_used the last exponent examined."""
 
-    kind: str  # 'poch' for (q;q)_m, 'eden' for F_k
-    index: int
-    h: int
-    witness: int
-    bound_used: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HTable:
-    """Rows h -> (members, cutoff).  kind 'S' classifies (q;q)_m with the
-    window cut-offs; kind 'Shat' classifies F_k with the scan horizon K
-    standing in as every row's cutoff.  horizon is the last subject index
-    the sweep examined.  For kind 'S', certificates[m] (m <= horizon) is the
-    exponent that settles m: for a non-member the ladder settles, the rung
-    where |coefficient| > H (an exact witness, not necessarily the smallest
-    one); for every m the ladder leaves, member or not, poch_class's
-    witness, the smallest exponent attaining its height.  Kind 'Shat'
-    leaves it empty."""
+class HTable(namedtuple("HTable", "kind rows horizon certificates", defaults=(0, ()))):
+    """rows maps each h to (members, cutoff).  kind 'S' classifies (q;q)_m
+    with the window cut-offs; kind 'Shat' classifies F_k with the scan
+    horizon K standing in as every row's cutoff.  horizon is the last
+    subject index the sweep examined.  For kind 'S', certificates[m]
+    (m <= horizon) is the exponent that settles m: for a non-member the
+    ladder settles, the rung where |coefficient| > H (an exact witness, not
+    necessarily the smallest one); for every m the ladder leaves, member or
+    not, poch_class's witness, the smallest exponent attaining its height.
+    Kind 'Shat' leaves it empty."""
 
-    kind: str
-    rows: dict = field(default_factory=dict)
-    horizon: int = 0
-    certificates: tuple = ()
+    __slots__ = ()
 
     def members(self, h: int):
         return self.rows[h][0] if h in self.rows else ()
@@ -191,17 +181,11 @@ def build_shat_table(K: int, budget: Budget = DEFAULT_BUDGET) -> HTable:
     return HTable(kind='Shat', rows=rows, horizon=K)
 
 
-@dataclass(frozen=True)
-class WindowRecord:
+class WindowRecord(namedtuple("WindowRecord", "m exponent value lo hi ok")):
     """One coefficient-window evaluation: the coefficient of q^exponent in
-    (q;q)_{m-1} must land in [lo, hi]."""
+    (q;q)_{m-1}, value, must land in [lo, hi]; ok says whether it does."""
 
-    m: int
-    exponent: int
-    value: int
-    lo: int
-    hi: int
-    ok: bool
+    __slots__ = ()
 
 
 def _window(m: int):
@@ -250,21 +234,20 @@ def window_check(m: int, budget: Budget = DEFAULT_BUDGET) -> bool:
     return window_detail(m, budget).ok
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Empirical observations over the computed S-rows; never a proof.
+class ConjectureReport(namedtuple(
+        "ConjectureReport", "h_max label singleton_above_16 increasing_above_16 "
+                            "consecutive_union_above_5 union notes")):
+    """Empirical observations over the computed S-rows S_1..S_h_max; never a
+    proof, and label says so ('EMPIRICAL').
 
-    Each clause is True/False over its applicable h-range, or None when the
-    range is empty (vacuous: no counterexample, no evidence).
+    Each clause (singleton_above_16, increasing_above_16,
+    consecutive_union_above_5) is True/False over its applicable h-range, or
+    None when the range is empty (vacuous: no counterexample, no evidence).
+    union is the sorted tuple of every member of those rows; notes is a
+    tuple of lines on vacuous clauses and on where the union breaks.
     """
 
-    h_max: int
-    label: str
-    singleton_above_16: bool
-    increasing_above_16: bool
-    consecutive_union_above_5: bool
-    union: tuple
-    notes: tuple
+    __slots__ = ()
 
 
 def conjecture_scan(H: int, budget: Budget = DEFAULT_BUDGET) -> ConjectureReport:

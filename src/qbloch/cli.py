@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import shutil
@@ -95,6 +94,8 @@ def _render(args, header_args, data, rows) -> str:
     """The command's output text.  rows: tsv lines as tuples of one length,
     each cell printed by str(); data: json payload."""
     if args.format == "json":
+        import json  # only here: a TSV run does not pay for the import
+
         doc = {"meta": {"command": args.command,
                         "args": [str(a) for a in header_args],
                         "version": __version__},

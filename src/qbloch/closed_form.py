@@ -9,19 +9,18 @@ returned exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UsageError
-from .pentagonal import PentaBlock, locate_block_a, locate_block_b, p1, p2
+from .pentagonal import locate_block_a, locate_block_b, p1, p2
 
 
-@dataclass(frozen=True)
-class CoeffAnswer:
-    """An exact coefficient together with the block and branch that produced it."""
+class CoeffAnswer(namedtuple("CoeffAnswer", "value block case_tag")):
+    """An exact coefficient together with the block and branch that produced it:
+    value is the coefficient, block the PentaBlock holding the index and
+    case_tag the family of the sub-interval the index fell into."""
 
-    value: int
-    block: PentaBlock
-    case_tag: str
+    __slots__ = ()
 
 
 def a_coeff(j: int) -> CoeffAnswer:

@@ -11,7 +11,7 @@ k - 1 is in S_1 = {0, 1, 2, 3, 5}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 from .errors import UsageError
@@ -170,21 +170,17 @@ def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> TruncSeries:
     return TruncSeries(out, N)
 
 
-@dataclass(frozen=True)
-class TailSplit:
+class TailSplit(namedtuple("TailSplit", "k P tail_factor tail_start_n shift")):
     """F_k split as P(q) + (q;q)_{k-1} * T(q) with a pure pentagonal tail.
 
     T = sum over n >= tail_start_n of (-1)^(n+k) (q^(p1(n)-shift) + q^(p2(n)-shift)),
     shift = k(k+1)/2, and tail_start_n = k(k-1)/2 + 1 is the least n whose
     pentagonal gaps exceed deg (q;q)_{k-1}, so the shifted factor copies in
-    the tail never overlap; P is _split_head's, padded with zeros.
+    the tail never overlap; P is _split_head's, padded with zeros, and
+    tail_factor is (q;q)_{k-1}; both are TruncSeries.
     """
 
-    k: int
-    P: TruncSeries
-    tail_factor: TruncSeries
-    tail_start_n: int
-    shift: int
+    __slots__ = ()
 
     def tail(self, N: int) -> TruncSeries:
         return pentagonal_tail(self.k, N)
@@ -239,14 +235,13 @@ def tail_split(k: int, N: int) -> TailSplit:
                      tail_factor=factor, tail_start_n=ns, shift=shift)
 
 
-@dataclass(frozen=True)
-class CorrectionPoly:
+class CorrectionPoly(namedtuple("CorrectionPoly", "k poly")):
     """Finite polynomial f with F_k - f of Bloch-Polya type: the clamp excess
     of the tail_split head, c - sign(c) at every coefficient c with |c| > 1.
-    It is the correction with the least support."""
+    It is the correction with the least support; poly holds f as a
+    TruncSeries of its own degree."""
 
-    k: int
-    poly: TruncSeries
+    __slots__ = ()
 
 
 def correction(k: int) -> CorrectionPoly:

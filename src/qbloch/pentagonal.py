@@ -9,7 +9,7 @@ pentagonal_index, block location and F_backsolve's route cost read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .errors import UsageError
@@ -82,8 +82,7 @@ def pentagonal_index(e: int):
     return (n, family) if (p1 if family == 1 else p2)(n) == e else None
 
 
-@dataclass(frozen=True)
-class PentaBlock:
+class PentaBlock(namedtuple("PentaBlock", "n kind family lower upper upper_closed")):
     """Location record for an index inside a pentagonal block structure.
 
     kind 'a' blocks cover [p2(2n), p2(2n+2)) half-open; kind 'b' blocks
@@ -91,14 +90,10 @@ class PentaBlock:
     to 0.  family names the sub-interval the queried index fell into:
     'plus-run', 'zero-gap', 'minus-run', 'zero-tail' for kind 'a';
     'low-plateau', 'rise', 'crest-high', 'crest-low', 'fall' for kind 'b'.
+    lower and upper are the block's bounds, upper included iff upper_closed.
     """
 
-    n: int
-    kind: str
-    family: str
-    lower: int
-    upper: int
-    upper_closed: bool
+    __slots__ = ()
 
     def contains(self, index: int) -> bool:
         if index < self.lower:

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from qbloch import classify, fseries, series
-from qbloch.classify import (Budget, ClassRecord, build_s_table,
+from qbloch import classify, closed_form, fseries, pentagonal, series
+from qbloch.classify import (Budget, ClassRecord, HTable, build_s_table,
                              build_shat_table, conjecture_scan, eden_class,
                              poch_class, s_cutoff, shat_bound, window_check,
                              window_detail, window_sweep)
 from qbloch.cli import main
 from qbloch.closed_form import first_appearance
 from qbloch.errors import BudgetError, UsageError
+from qbloch.oracle import ENUM_LIMIT
 from qbloch.pentagonal import p1
 from qbloch.series import _carried_products, _tail_coeff, _tails, pochhammer
 
@@ -34,6 +35,42 @@ def test_poch_class_examples():
     assert poch_class(4).h == 2
     rec = poch_class(41)
     assert rec.bound_used == 41 * 42 // 2
+
+
+#: The result records and their fields.  The order is part of the API, since
+#: the records unpack and compare as tuples.
+RECORD_FIELDS = {
+    pentagonal.PentaBlock: ("n", "kind", "family", "lower", "upper", "upper_closed"),
+    closed_form.CoeffAnswer: ("value", "block", "case_tag"),
+    fseries.TailSplit: ("k", "P", "tail_factor", "tail_start_n", "shift"),
+    fseries.CorrectionPoly: ("k", "poly"),
+    classify.Budget: ("max_order", "max_enum"),
+    classify.ClassRecord: ("kind", "index", "h", "witness", "bound_used"),
+    classify.HTable: ("kind", "rows", "horizon", "certificates"),
+    classify.WindowRecord: ("m", "exponent", "value", "lo", "hi", "ok"),
+    classify.ConjectureReport: ("h_max", "label", "singleton_above_16",
+                                "increasing_above_16", "consecutive_union_above_5",
+                                "union", "notes"),
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_keep_their_fields_and_stay_immutable(cls):
+    assert cls._fields == RECORD_FIELDS[cls]
+    record = cls(*range(len(cls._fields)))
+    # no field can be set and no attribute added
+    for name in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, -1)
+
+
+def test_record_defaults_and_repr():
+    assert Budget() == Budget(250_000, ENUM_LIMIT)
+    assert hash(Budget()) == hash(Budget(250_000, ENUM_LIMIT))
+    table = HTable("S", {})
+    assert (table.horizon, table.certificates) == (0, ())
+    assert repr(poch_class(0)) == ("ClassRecord(kind='poch', index=0, h=1, "
+                                   "witness=0, bound_used=0)")
 
 
 def test_cutoff_closed_form():

@@ -195,6 +195,30 @@ def test_expand_json_round_trip():
     assert coeffs == F_direct(2, None, 20).coeffs
 
 
+#: Runs cli.main in a fresh interpreter on the arguments after the first,
+#: the source directory, which goes first on sys.path.
+FRESH_MAIN = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from qbloch import cli\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [("coeff", "b", "69"), ("expand", "poch", "5", "15")])
+def test_json_output_of_a_fresh_interpreter_matches_in_process(argv, capsys):
+    # json is imported only by the JSON branch of the renderer; this process
+    # already holds it, so a fresh interpreter is where a missing import shows
+    argv = [*argv, "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    src = Path(importlib.import_module("qbloch").__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-I", "-c", FRESH_MAIN, str(src), *argv],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+
+
 def test_table_workers_byte_identical():
     for limit, workers in (("2", (1, 3)), ("3", (1, 2, 5))):
         runs = [run_cli("table", "S", limit, "--workers", str(w)) for w in workers]

@@ -2,10 +2,13 @@
 ast: the oracle stays independent of the machinery it checks, the verify
 suites call the traced layers through their modules, the CLI leaves the
 oracle to them and the dense pentagonal series to the library, the
-package imports a fixed set of standard-library modules, and every
-function has a caller, an export or a named user outside the package."""
+package imports a fixed set of standard-library modules, a cold start
+loads none of the costly ones, and every function has a caller, an export
+or a named user outside the package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import qbloch
@@ -173,8 +176,10 @@ def test_one_reader_takes_coefficients_from_the_tails():
 
 #: Every module outside the package that src/qbloch imports.  A cold start,
 #: `import qbloch.cli` plus build_parser(), pays for each of them, so a new
-#: one is a deliberate edit here.
-STDLIB = {"__future__", "argparse", "contextlib", "dataclasses", "itertools", "json",
+#: one is a deliberate edit here.  collections costs nothing extra: re loads
+#: it through functools, and cli and argparse both import re.  json is
+#: imported only where --format json renders its output.
+STDLIB = {"__future__", "argparse", "collections", "contextlib", "itertools", "json",
           "math", "operator", "os", "re", "shutil", "sys"}
 
 
@@ -193,6 +198,31 @@ def outside_imports():
 
 def test_the_package_imports_a_fixed_set_of_stdlib_modules():
     assert outside_imports() == STDLIB
+
+
+#: Modules a cold start must not load: dataclasses and the modules it pulls
+#: in (inspect, ast, dis, tokenize), typing, and json, which only a
+#: --format json run needs.
+COLD_START_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json"}
+
+COLD_START = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "before = set(sys.modules)\n"
+    "import qbloch.cli\n"
+    "qbloch.cli.build_parser()\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_a_cold_start_loads_none_of_the_costly_modules():
+    # compared before and after, so a module the interpreter's site set-up
+    # preloads is not counted against the package
+    proc = subprocess.run([sys.executable, "-I", "-c", COLD_START, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "qbloch.cli" in loaded
+    assert loaded & COLD_START_EXCLUDED == set()
 
 
 #: Every function of src/qbloch that nothing there reads and the package does
