@@ -2,7 +2,7 @@
 
 The verify suites and their checks live in qbloch.verify; this module parses
 arguments, applies budgets and formats the results.  Each _cmd_* handler
-returns (exit code, header args, json data, tsv rows) and writes nothing;
+returns (exit code, header args, json data, tsv columns) and writes nothing;
 main renders that and writes the text once.
 
 Output is deterministic and machine-readable.  TSV starts with a header line
@@ -19,6 +19,7 @@ import os
 import re
 import shutil
 import sys
+from itertools import compress, count
 
 from . import __version__
 from .classify import Budget, build_s_table, build_shat_table
@@ -90,9 +91,10 @@ def _make_budget(args) -> Budget:
         max_enum=args.budget_enum if args.budget_enum is not None else base.max_enum)
 
 
-def _render(args, header_args, data, rows) -> str:
-    """The command's output text.  rows: tsv lines as tuples of one length,
-    each cell printed by str(); data: json payload."""
+def _render(args, header_args, data, columns) -> str:
+    """The command's output text.  columns: the tsv table as sequences of
+    one length, one per column, each cell printed by str(); data: json
+    payload."""
     if args.format == "json":
         import json  # only here: a TSV run does not pay for the import
 
@@ -102,11 +104,16 @@ def _render(args, header_args, data, rows) -> str:
                "data": data}
         return json.dumps(doc) + "\n"
     head = " ".join(str(a) for a in header_args)
-    text = [f"# {args.command} {head} {__version__}\n"]
-    if rows:
-        line = "\t".join(["%s"] * len(rows[0])) + "\n"
-        text += [line % row for row in rows]
-    return "".join(text)
+    width = len(columns)
+    height = len(columns[0]) if columns else 0
+    # the header, then the cells row by row, filled in column by column and
+    # formatted by one %: no string or tuple per row
+    cells = [None] * (1 + height * width)
+    cells[0] = f"# {args.command} {head} {__version__}"
+    for i, column in enumerate(columns, 1):
+        cells[i::width] = column
+    line = "\t".join(["%s"] * width) + "\n"
+    return ("%s\n" + line * height) % tuple(cells)
 
 
 def _resolve_order(args, tail_params) -> int:
@@ -136,21 +143,29 @@ def _cmd_expand(args, budget) -> tuple:
     budget.require_order(order, f"expand {args.target}")
 
     if args.target == "pnt":
-        pairs = pnt_terms(order)
+        series = None
     elif args.target == "q2inf":
-        pairs = pochhammer(2, 1, None, order).nonzero_items()
+        series = pochhammer(2, 1, None, order)
     elif args.target == "q3inf":
-        pairs = pochhammer(3, 1, None, order).nonzero_items()
+        series = pochhammer(3, 1, None, order)
     elif args.target == "poch":
         if idx < 0:
             raise UsageError(f"poch index must be >= 0, got {idx}")
-        pairs = pochhammer(1, 1, idx, order).nonzero_items()
+        series = pochhammer(1, 1, idx, order)
     else:
-        pairs = F_backsolve(idx, order).nonzero_items()
+        series = F_backsolve(idx, order)
 
     header = [args.target] + ([idx] if idx is not None else []) + [order]
-    # tuples encode as JSON arrays
-    return 0, header, {"order": order, "coefficients": pairs}, pairs
+    # each format builds only what it prints: JSON the (e, c) pairs, TSV
+    # the exponent and coefficient columns
+    if args.format == "json":
+        pairs = pnt_terms(order) if series is None else series.nonzero_items()
+        # tuples encode as JSON arrays
+        return 0, header, {"order": order, "coefficients": pairs}, None
+    if series is None:
+        return 0, header, None, list(zip(*pnt_terms(order)))
+    c = series.coeffs
+    return 0, header, None, [list(compress(count(), c)), list(filter(None, c))]
 
 
 def _cmd_coeff(args, budget) -> tuple:
@@ -176,9 +191,9 @@ def _cmd_coeff(args, budget) -> tuple:
             "block": {"n": block.n, "family": block.family,
                       "lower": block.lower, "upper": block.upper,
                       "upper_closed": block.upper_closed}}
-    rows = [(answer.value, answer.case_tag, block.n, block.family,
-             block.lower, block.upper)]
-    return 0, [args.which, args.index], data, rows
+    columns = [[answer.value], [answer.case_tag], [block.n], [block.family],
+               [block.lower], [block.upper]]
+    return 0, [args.which, args.index], data, columns
 
 
 def _cmd_table(args, budget) -> tuple:
@@ -193,7 +208,7 @@ def _cmd_table(args, budget) -> tuple:
     data = {"kind": table.kind, "horizon": table.horizon,
             "rows": [{"h": h, "members": list(members), "cutoff": cutoff}
                      for h, (members, cutoff) in sorted(table.rows.items())]}
-    return 0, [args.kind, args.limit], data, rows
+    return 0, [args.kind, args.limit], data, list(zip(*rows))
 
 
 def _cmd_verify(args, budget) -> tuple:
@@ -202,7 +217,7 @@ def _cmd_verify(args, budget) -> tuple:
     data = [{"check": name, "result": result, "detail": detail}
             for name, result, detail in rows]
     code = 0 if all(result == "pass" for _name, result, _detail in rows) else 1
-    return code, [args.suite], data, rows
+    return code, [args.suite], data, list(zip(*rows))
 
 
 def _output_error(path, exc) -> OutputError:
@@ -261,8 +276,8 @@ def main(argv=None) -> int:
                    "table": _cmd_table, "verify": _cmd_verify}[args.command]
 
         def run():
-            code, header_args, data, rows = handler(args, budget)
-            return code, _render(args, header_args, data, rows)
+            code, header_args, data, columns = handler(args, budget)
+            return code, _render(args, header_args, data, columns)
 
         if args.out is not None:
             return _write_out(args.out, run)

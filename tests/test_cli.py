@@ -87,6 +87,56 @@ def test_expand_pnt_memory_follows_its_terms(fmt, capsys):
     assert peak < 1 << 20, peak
 
 
+#: SHA-256 of the stdout of each expand-mix benchmark command, recorded
+#: from the renderer that formatted one string per (e, c) row.
+EXPAND_MIX_STDOUT_SHA256 = {
+    ("pnt 250000", "tsv"): "1d008b40f4c415a004511ea18df00c6e9c85e4ee2cf5270ffd93c4a3dd31c151",
+    ("pnt 250000", "json"): "850f0ebe7b257c3243a1eee725819cb32619aa66954c8d597efb4006eda4076c",
+    ("q2inf 5000", "tsv"): "4689338d6af5280f876e84b1dc585cd2409e23d40c6cf9bf3099e96daf43cb73",
+    ("q3inf 5000", "json"): "ff14c7b54bb150721ae199c6f3907c903e37be6e96158e2702194d11dca382cd",
+    ("q3inf 7000", "tsv"): "31bd509b92cc95b0cc35fb3341d0309044a1962ed779511c859069323295548d",
+    ("poch 300 45150", "tsv"): "8348ad55df451c87aeaa6dae1e3046b11321dede654016910c3b285e0295224c",
+    ("poch 150 11325", "json"): "3d558a402543a18e35c1474f3e84df0c2216f1a36202dc2eec3dfc84a2d57c48",
+    ("poch 120 2000", "tsv"): "974f35598573060c3260732b3a604a318a4611a9f7fea1e7791cccbc59c617c4",
+    ("f 1 4000", "tsv"): "d7f9764073546dfb61ee2004495a7733f1d6f0322090771b2b504e89dad00502",
+    ("f 3 4000", "json"): "e521a4cf9117becd4391f0809aee8b53624b1a7c40a113d905295f97cb80ce8e",
+    ("f 8 5000", "tsv"): "401c1849cbba1c898f0c637919e01af7977e5e2e401e83ac148d39ab2794d8bc",
+}
+
+
+@pytest.mark.parametrize("params, fmt", sorted(EXPAND_MIX_STDOUT_SHA256))
+def test_expand_mix_stdout_is_pinned(params, fmt, capsys):
+    assert main(["expand", *params.split(), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_MIX_STDOUT_SHA256[params, fmt]
+
+
+def traced_peak(argv):
+    """The traced peak of main(argv), run once untraced before, so that
+    imports and the interpreter's free lists do not shift the figure."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expand_poch_memory_follows_its_output(capsys):
+    # (q;q)_300 to its full degree has 45,151 nonzero terms and about 1 MB of
+    # TSV; formatting one string and one tuple per row peaked at 8.8 MiB, the
+    # cells of two columns formatted by one % peak at 5.3 MiB
+    peak = traced_peak(["expand", "poch", "300", "45150"])
+    capsys.readouterr()
+    assert peak < 7 << 20, peak
+    # JSON still encodes the (e, c) pairs and builds no columns besides:
+    # 3,016,814 bytes with the per-row renderer, here at most 5% more
+    peak = traced_peak(["expand", "poch", "150", "11325", "--format", "json"])
+    capsys.readouterr()
+    assert peak <= 3_016_814 * 1.05, peak
+
+
 def test_expand_poch_zero():
     proc = run_cli("expand", "poch", "0", "10")
     assert proc.returncode == 0
@@ -322,10 +372,17 @@ def product_reference(exponents, N):
     return coeffs
 
 
-@pytest.mark.parametrize("target,idx", [("q2inf", None), ("q3inf", None),
-                                        ("poch", 60), ("f", 1), ("f", 7)])
-def test_expand_matches_reference_rows(target, idx):
-    N = 1500
+@pytest.mark.parametrize("target,idx,N", [
+    # order 1500, named by target and index alone
+    *(pytest.param(target, idx, 1500, id=f"{target}-{idx}")
+      for target, idx in (("q2inf", None), ("q3inf", None), ("poch", 60),
+                          ("f", 1), ("f", 7))),
+    # full degree m(m+1)/2, odd and even m: the upper half is the mirror
+    # c_(D-t) = (-1)^m c_t of the lower
+    ("poch", 59, 1770), ("poch", 60, 1830),
+    # order 0: the constant term alone, one row
+    ("q3inf", None, 0), ("poch", 4, 0), ("f", 3, 0)])
+def test_expand_matches_reference_rows(target, idx, N, tmp_path):
     if target == "f":
         coeffs = F_direct(idx, None, N).coeffs
     else:
@@ -338,6 +395,11 @@ def test_expand_matches_reference_rows(target, idx):
     assert tsv.returncode == 0
     assert tsv.stdout == "".join([f"# expand {' '.join(args)} {__version__}\n"]
                                  + [f"{e}\t{c}\n" for e, c in pairs])
+
+    target_file = tmp_path / "expand.tsv"
+    to_file = run_cli("expand", *args, "--out", str(target_file))
+    assert (to_file.returncode, to_file.stdout) == (0, "")
+    assert target_file.read_text(encoding="utf-8") == tsv.stdout
 
     js = run_cli("expand", *args, "--format", "json")
     assert js.returncode == 0
