@@ -38,11 +38,6 @@ def a_coeff(j: int) -> CoeffAnswer:
     return CoeffAnswer(value=value, block=block, case_tag=block.family)
 
 
-def _ceil_half(x: int) -> int:
-    # exact ceil(x/2) on signed ints
-    return -((-x) // 2)
-
-
 def b_coeff(i: int) -> CoeffAnswer:
     """Coefficient of q^i in (q^3;q)_infinity, exact at any index size.
 
@@ -65,7 +60,7 @@ def b_coeff(i: int) -> CoeffAnswer:
     elif family == "crest-low":
         value = n
     else:
-        value = n - _ceil_half(i - p2(2 * n + 1))
+        value = n + (p2(2 * n + 1) - i) // 2
     return CoeffAnswer(value=value, block=block, case_tag=family)
 
 

@@ -138,11 +138,11 @@ def F_backsolve(k: int, N: int) -> TruncSeries:
     terms = N // k + 1
     if terms * (N + 1) - k * terms * (terms - 1) // 2 < slices + half // k * half // 2:
         return TruncSeries(_partial_sums(k, N), N)
-    return _backsolved(k, N)
+    return TruncSeries(_backsolved(k, N), N)
 
 
-def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> TruncSeries:
-    """F_k(q) modulo q^(N+1) through the backsolved representation
+def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> list:
+    """Coefficients to q^N of F_k(q) through the backsolved representation
 
         q^(k(k+1)/2) F_k = sum_{i=0}^{k-1} (-1)^i (q^(k-i);q)_i q^((k-1-i)(k-i)/2)
                            + (-1)^k (q;q)_{k-1} (q;q)_infinity
@@ -156,6 +156,7 @@ def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> TruncSeries:
     Only the terms with e >= lo are added, so TailSplit.reconstruct and
     pentagonal_tail take the tail alone; _split_head's order ends the head.
     This is the only loop that places shifted copies of pentagonal terms.
+    It returns the list; F_backsolve and pentagonal_tail each wrap it once.
     """
     shift = k * (k + 1) // 2
     if factor is None:
@@ -167,7 +168,7 @@ def _backsolved(k: int, N: int, lo: int = 0, factor=None) -> TruncSeries:
         a, b = max(-t, 0), min(len(factor), N + 1 - t)
         if e >= lo and a < b:
             out[t + a:t + b] = map(add if c == sign else sub, out[t + a:t + b], factor[a:b])
-    return TruncSeries(out, N)
+    return out
 
 
 class TailSplit(namedtuple("TailSplit", "k P tail_factor tail_start_n shift")):
@@ -192,9 +193,8 @@ class TailSplit(namedtuple("TailSplit", "k P tail_factor tail_start_n shift")):
         F_direct exactly, which shares no code with that builder."""
         if N > self.P.order:
             raise UsageError(f"order {N} exceeds the stored head order {self.P.order}")
-        head = TruncSeries(self.P.coeffs[:N + 1], N)
-        return head + _backsolved(self.k, N, lo=p1(self.tail_start_n),
-                                  factor=self.tail_factor.coeffs)
+        tail = _backsolved(self.k, N, lo=p1(self.tail_start_n), factor=self.tail_factor.coeffs)
+        return TruncSeries(map(add, self.P.coeffs, tail), N)
 
 
 def pentagonal_tail(k: int, N: int) -> TruncSeries:
@@ -203,16 +203,16 @@ def pentagonal_tail(k: int, N: int) -> TruncSeries:
     q^shift; _backsolved with the factor 1 in place of (q;q)_{k-1}."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    return _backsolved(k, N, lo=p1(k * (k - 1) // 2 + 1), factor=[1])
+    return TruncSeries(_backsolved(k, N, lo=p1(k * (k - 1) // 2 + 1), factor=[1]), N)
 
 
 def _split_head(k: int, factor: list) -> list:
-    """The head P of F_k's split, k >= 2, to its own order p1(ns) - shift - 1:
+    """The head P of F_k's split to its own order p1(ns) - shift - 1:
     the backsolved terms below p1(ns) with factor, the caller's (q;q)_{k-1}.
     Their copies end inside that order, as p1(ns) - p2(ns-1) = 2ns - 1
-    exceeds the factor's degree ns - 1.  The one builder of the head."""
-    return _backsolved(k, p1(k * (k - 1) // 2 + 1) - k * (k + 1) // 2 - 1,
-                       factor=factor).coeffs
+    exceeds the factor's degree ns - 1.  For k = 1 that order is -1 and the
+    head is empty.  The one builder of the head."""
+    return _backsolved(k, p1(k * (k - 1) // 2 + 1) - k * (k + 1) // 2 - 1, factor=factor)
 
 
 def tail_split(k: int, N: int) -> TailSplit:
@@ -236,16 +236,17 @@ def tail_split(k: int, N: int) -> TailSplit:
 
 
 class CorrectionPoly(namedtuple("CorrectionPoly", "k poly")):
-    """Finite polynomial f with F_k - f of Bloch-Polya type: the clamp excess
-    of the tail_split head, c - sign(c) at every coefficient c with |c| > 1.
-    It is the correction with the least support; poly holds f as a
-    TruncSeries of its own degree."""
+    """Finite polynomial f with F_k - f of Bloch-Polya type: the excess of
+    the tail_split head over its clamp to [-1, 1], c - sign(c) at every
+    coefficient c with |c| > 1.  It is the correction with the least
+    support; poly holds f as a TruncSeries of its own degree."""
 
     __slots__ = ()
 
 
 def correction(k: int) -> CorrectionPoly:
-    """The correction of F_k, the clamp of _split_head; k = 1, 2 get the zero poly.
+    """The correction of F_k: _split_head less its clamp to h((q;q)_{k-1}),
+    to its last nonzero coefficient; k = 1, 2 get the zero poly.
 
     A correction exists iff k - 1 is in S_1 = {0, 1, 2, 3, 5}: past its head
     F_k repeats non-overlapping copies of +-(q;q)_{k-1} forever, so the head
@@ -260,18 +261,10 @@ def correction(k: int) -> CorrectionPoly:
         raise NoCorrectionError(
             f"no polynomial correction exists for k={k}: h((q;q)_{k - 1}) = {height} "
             f"at q^{witness}, and the tail repeats its copies beyond any fixed degree")
-    # the head of the split; empty for k = 1
-    terms = {}
-    if k > 1:
-        terms = {e: c - (1 if c > 0 else -1)
-                 for e, c in enumerate(_split_head(k, factor.coeffs)) if abs(c) > 1}
-    if not terms:
-        return CorrectionPoly(k=k, poly=TruncSeries.zero(0))
-    order = max(terms)
-    coeffs = [0] * (order + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
-    return CorrectionPoly(k=k, poly=TruncSeries(coeffs, order))
+    excess = [c - max(-height, min(c, height)) for c in _split_head(k, factor.coeffs)]
+    while excess and not excess[-1]:
+        excess.pop()
+    return CorrectionPoly(k=k, poly=TruncSeries(excess or [0]))
 
 
 def eden_series(k: int, N: int) -> TruncSeries:

@@ -161,6 +161,16 @@ def test_coeff_b_huge_index():
     assert fields[1] == "rise"
 
 
+def test_readme_coeff_b_row_is_current(capsys):
+    # README's worked coeff b example, an index on a fall at 10^20
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    [shown] = re.findall(r"^\$ qbloch coeff b 100000000000000000000\n(.*?)^```$",
+                         text, re.DOTALL | re.MULTILINE)
+    assert main(["coeff", "b", "100000000000000000000"]) == 0
+    assert capsys.readouterr().out == shown
+    assert shown.splitlines()[1].split("\t")[:3] == ["2727992717", "fall", "4082482904"]
+
+
 @pytest.mark.parametrize("which,index", [("a", "2" * 4301), ("b", "3" * 10000),
                                          ("a", "9" * 4300), ("b", "9" * 4300)])
 def test_coeff_past_the_int_conversion_limit_is_refused(which, index):

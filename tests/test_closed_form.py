@@ -123,3 +123,16 @@ def test_negative_index_rejected():
         a_coeff(-1)
     with pytest.raises(UsageError):
         b_coeff(-1)
+
+
+def test_fall_near_a_googol_matches_the_docstring():
+    # fall is n - ceil((i - p2(2n+1))/2) on [p2(2n+1)-1, p1(2n+2)-3]; the
+    # ceiling is taken here from divmod, apart from b_coeff's own arithmetic
+    n = b_coeff(10 ** 100).block.n
+    start, end = p2(2 * n + 1) - 1, p1(2 * n + 2) - 3
+    middle = (start + end) // 2
+    for i in (start, start + 1, start + 2, middle, middle + 1, end - 1, end):
+        quotient, remainder = divmod(i - p2(2 * n + 1), 2)
+        answer = b_coeff(i)
+        assert (answer.case_tag, answer.block.n) == ("fall", n), i
+        assert answer.value == n - (quotient + (remainder > 0)), i

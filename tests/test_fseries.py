@@ -1,6 +1,7 @@
 """The F_k family: direct sums, recurrences, tail splits, corrections."""
 
 import functools
+import hashlib
 import random
 from operator import add, sub
 
@@ -227,6 +228,46 @@ def test_corrected_series_are_bloch_polya():
         assert diff.is_bloch_polya()
 
 
+def correction_text(k):
+    # the order and coefficients of correction(k), or its exact refusal
+    try:
+        poly = correction(k).poly
+    except NoCorrectionError as err:
+        return f"{k}\t{err}\n"
+    return f"{k}\t{poly.order}\t{poly.coeffs}\n"
+
+
+#: SHA-256 of correction_text(k) for 1 <= k <= 40, recorded from the
+#: correction that collected the clamp excess in a dict of exponents.
+CORRECTIONS_SHA256 = "54a80bb3abadeaa745f1b2296cfcf0ffa4e4932e480aa1f5d28a03229587ea04"
+
+#: SHA-256 of the lists P, tail(3000) and reconstruct(3000) of
+#: tail_split(k, 3000), recorded from the builders that passed the head
+#: and the tail between them as TruncSeries.
+TAIL_SPLIT_SHA256 = {
+    2: "9df61a36fe02e7828742bcf0181e2d92d8a482027ece5efaf9d0a7fdd68066b6",
+    3: "17808eb16f41955e669fa61e00a2c6ccc171db1ee0cd945c8f7e25e19a514c0a",
+    4: "8a6bca25be455bdac701ed805145323801d300e8a7f6ba5f60cb74e63f554a89",
+    5: "cf4f984b18105a8cde41bcdb6561e9a5ca5900dd0e1696eb5b9305adb98a5e00",
+    6: "1746fbbfd5f680d1394e6fc828bebab67e68a4db3ded733c5e06e1d2e3fb1747",
+    7: "4af65d77f8642721a55fa1a8fcac8b6776e246864b5ab4a0c846af4996412629",
+    8: "7084d18005656a3176543e6182c1b38b433e6186d53d59283a74543637d42458",
+    9: "1261766612d5acaaa4b12b60dba661d8d1ead4f730d428b55430d26d9fa9e48c",
+}
+
+
+def test_corrections_to_40_are_pinned():
+    text = "".join(correction_text(k) for k in range(1, 41))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORRECTIONS_SHA256
+
+
+@pytest.mark.parametrize("k", sorted(TAIL_SPLIT_SHA256))
+def test_tail_splits_are_pinned(k):
+    split = tail_split(k, 3000)
+    text = f"{split.P.coeffs}\t{split.tail(3000).coeffs}\t{split.reconstruct(3000).coeffs}"
+    assert hashlib.sha256(text.encode()).hexdigest() == TAIL_SPLIT_SHA256[k]
+
+
 def test_f5_fails_exactly_as_displayed():
     f5 = F_direct(5, None, 200)
     assert f5.coeff(21) == -2
@@ -321,7 +362,7 @@ def test_backsolve_matches_direct_around_the_prefactor():
             if N < 0:
                 continue
             reference = F_direct(k, None, N)
-            assert fseries._backsolved(k, N) == reference, (k, N)
+            assert fseries._backsolved(k, N) == reference.coeffs, (k, N)
             assert F_backsolve(k, N) == reference, (k, N)
     with pytest.raises(UsageError):
         F_backsolve(0, 10)
@@ -353,7 +394,7 @@ def backsolved_by_binomials(k, N):
 def test_backsolve_matches_the_binomial_construction():
     for k in (13, 20, 25, 30):
         N = shat_bound(k)
-        assert fseries._backsolved(k, N) == backsolved_by_binomials(k, N), k
+        assert fseries._backsolved(k, N) == backsolved_by_binomials(k, N).coeffs, k
 
 
 def test_backsolve_takes_the_slices_for_small_k(monkeypatch):
@@ -374,7 +415,7 @@ def test_backsolve_takes_the_direct_sum_for_large_k(monkeypatch):
     # would build (q;q)_{k-1}, of degree k(k-1)/2, and is never entered
     cases = [(100_000, 10), (2000, 100), (150, 4000)]
     expected = [F_direct(k, None, N) for k, N in cases]
-    assert fseries._backsolved(150, 4000) == expected[2]
+    assert fseries._backsolved(150, 4000) == expected[2].coeffs
 
     def refuse(k, N):
         raise AssertionError(f"backsolved route taken for k={k}, N={N}")

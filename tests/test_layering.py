@@ -143,6 +143,14 @@ def test_one_builder_makes_the_split_head():
     assert functions_naming("fseries", "_split_head") == {"tail_split", "correction"}
 
 
+def test_private_builders_of_fseries_pass_coefficient_lists():
+    # the head and the tail go between builders as plain lists; each public
+    # builder wraps its list in a TruncSeries once
+    private = {name for name in functions_naming("fseries", "TruncSeries")
+               if name.startswith("_")}
+    assert private == set()
+
+
 def test_one_pentagonal_locator_takes_the_square_root():
     # pentagonal_index, both block locators and F_backsolve's slice count
     # place x among the pentagonal exponents through _pentagonal_floor

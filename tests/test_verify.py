@@ -1,6 +1,7 @@
 """The verify suites run in-process through main: exact stdout, exit codes,
 and the json records against the tsv rows."""
 
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,23 @@ def test_verify_suite_golden_tsv_and_json(capsys, suite):
                            "version": __version__}
     assert doc["data"] == [{"check": name, "result": result, "detail": detail}
                            for name, result, detail in GOLDEN_ROWS[suite]]
+
+
+#: SHA-256 of the stdout of the two suites that read F_k's split, recorded
+#: from the builders that passed the head and the tail as TruncSeries.
+VERIFY_STDOUT_SHA256 = {
+    ("identities", "tsv"): "6441e5921b9549060452eb8be4e38f3fe6b34f33c05d7f6fd1dd8fbfe34575ea",
+    ("identities", "json"): "7013b0e86e3b7f70112ebd2f2702d89e7823606fadc93d06708dbe50d2501c1c",
+    ("corrections", "tsv"): "d22ebb47c297165e1d996d45281d875b4cc541abf9d686aa69720c12fc1a9f26",
+    ("corrections", "json"): "3ca5162370000f16ee41a789cae4d4c26567109c49df1686af65285cbd352ab3",
+}
+
+
+@pytest.mark.parametrize("suite, fmt", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_is_pinned(capsys, suite, fmt):
+    code, out = run_main(capsys, "verify", suite, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[suite, fmt]
 
 
 def test_verify_failed_check_exits_one(capsys, monkeypatch):
